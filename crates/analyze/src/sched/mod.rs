@@ -2,8 +2,8 @@
 //!
 //! Where [`crate::interleave`] exhaustively explores hand-written
 //! *models* of the SACK concurrency protocols, this module explores the
-//! **real code**: the generic `Rcu<T, B, SLOTS>`, `DecisionCacheIn<B>`,
-//! and `PerCpuCacheIn<B>` implementations are instantiated with
+//! **real code**: the generic `Rcu<T, B, SLOTS>`, `RingIn<T, B>` and
+//! `LazySlot<T, B>` implementations are instantiated with
 //! [`SchedBackend`], whose every atomic/mutex/lifecycle operation parks
 //! the calling thread until a deterministic controller grants the turn.
 //! Bounded depth-first enumeration with sleep-set partial-order

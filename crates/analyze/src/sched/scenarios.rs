@@ -1,8 +1,8 @@
 //! Executor scenarios over the **shipped** protocol implementations.
 //!
 //! Each scenario instantiates the real generic types —
-//! `sack_kernel::sync::Rcu`, `sack_core::DecisionCacheIn`,
-//! `sack_core::PerCpuCacheIn` — with [`SchedBackend`], so every statement
+//! `sack_kernel::sync::Rcu`, `sack_kernel::ring::RingIn`,
+//! `sack_kernel::sync::LazySlot` — with [`SchedBackend`], so every statement
 //! the production hot path executes is the statement explored here; only
 //! the primitives underneath are swapped for scheduler-controlled ones.
 //! Thread 0..n-1 are readers/hooks and the last thread is the writer, the
@@ -14,19 +14,9 @@
 //! * [`rcu_read_write`] — no freed snapshot acquired (structural, via the
 //!   executor's freed registry), snapshots linearizable, graveyard
 //!   bounded by the hazard-slot count.
-//! * [`cache_epoch_bump`] — no stale verdict after an epoch bump on the
-//!   real per-CPU decision cache (invalidation-by-key, the shipped
-//!   design).
 //! * [`profile_publish`] — profile-table snapshots are never torn, and
 //!   the publish-before-bump ordering means a reader that observed the
 //!   bumped epoch can never read the old table.
-//! * [`cache_torn_pair`] — a racing evicting insert can only ever produce
-//!   a miss, never a wrong verdict (the payload-verifier contract; the
-//!   `CacheSkipVerifier` mutation breaks exactly this).
-//! * [`percpu_invalidate_walk`] — the *alternative* flush-walk
-//!   invalidation design, built from the same real cache instances, whose
-//!   skip-one-instance bug the `PerCpuCacheModel` predicts; the executor
-//!   confirms the prediction against real cache code.
 //! * [`ring_produce_drain`] — the real MPSC submission ring
 //!   (`sack_kernel::ring::RingIn`, the event plane's ingestion structure):
 //!   two producers race the tail CAS against a draining consumer; no
@@ -42,11 +32,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use sack_core::{
-    current_cpu_in, CachedOutcome, DecisionCacheIn, DecisionKey, PerCpuCacheIn, CPU_INSTANCES,
-};
 use sack_kernel::ring::RingIn;
-use sack_kernel::sync::shim::{RawAtomicU64, RawAtomicUsize};
+use sack_kernel::sync::shim::RawAtomicUsize;
 use sack_kernel::sync::{Backend, LazySlot, Rcu};
 
 use super::backend::SchedBackend;
@@ -58,26 +45,10 @@ use super::executor::{Scenario, ScenarioRun};
 pub const SCHED_SLOTS: usize = 2;
 
 type SRcu<T> = Rcu<T, SchedBackend, SCHED_SLOTS>;
-type SAtomicU64 = <SchedBackend as Backend>::AtomicU64;
 type SAtomicUsize = <SchedBackend as Backend>::AtomicUsize;
 
 fn poison_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// A decision key whose only varying inputs are the epoch and the path —
-/// everything a scenario needs to model "same access, different epoch".
-fn key(epoch: u64, path: &str) -> DecisionKey<'_> {
-    DecisionKey {
-        epoch,
-        confinement_gen: 0,
-        state: 0,
-        uid: 1000,
-        mac_override: false,
-        exe: None,
-        path,
-        perms: 1,
-    }
 }
 
 /// `readers` threads each take one `Rcu::read` snapshot while one writer
@@ -126,96 +97,6 @@ pub fn rcu_read_write(readers: usize) -> Scenario {
                         cell.retired_count(),
                         SCHED_SLOTS
                     ));
-                }
-                Ok(())
-            });
-            ScenarioRun { bodies, check }
-        }),
-    }
-}
-
-/// State shared by the epoch-bump scenarios: the real per-CPU cache, a
-/// policy word (0 ⇒ allow, 1 ⇒ deny) and the policy epoch, both shim
-/// atomics exactly like `Sack`'s `policy_epoch`.
-struct EpochState {
-    cache: PerCpuCacheIn<SchedBackend>,
-    policy: SAtomicU64,
-    epoch: SAtomicU64,
-}
-
-fn verdict_for(policy: u64) -> CachedOutcome {
-    if policy == 0 {
-        CachedOutcome::Allow
-    } else {
-        CachedOutcome::Deny
-    }
-}
-
-/// `hooks` hook threads run one cached access check each (lookup → slow
-/// path → insert, the real `DecisionCacheIn` code) against their own
-/// per-CPU instance, while a reloader publishes a new policy and bumps
-/// the epoch — publish first, bump second, the ordering `Sack::reload`
-/// documents.
-///
-/// Invariant: a hook that observed the bumped epoch must produce the new
-/// policy's verdict — stale entries die because the epoch is part of
-/// every key, with no flush walk. Exhaustive passing is the "no stale
-/// verdict after epoch bump" proof on the shipped cache.
-pub fn cache_epoch_bump(hooks: usize) -> Scenario {
-    assert!(hooks < CPU_INSTANCES, "hooks map 1:1 onto cache instances");
-    let mut threads = vec!["hook"; hooks];
-    threads.push("reloader");
-    Scenario {
-        name: "cache-epoch-bump",
-        threads,
-        make: Box::new(move || {
-            let st = Arc::new(EpochState {
-                cache: PerCpuCacheIn::new(),
-                policy: RawAtomicU64::new(0),
-                epoch: RawAtomicU64::new(0),
-            });
-            // Pre-bump warm state: every hook's instance already caches
-            // the epoch-0 grant, as if traffic ran before the reload.
-            for h in 0..hooks {
-                st.cache
-                    .instance(h)
-                    .insert(&key(0, "/dev/car/door0"), CachedOutcome::Allow);
-            }
-            let seen: Arc<Mutex<Vec<(u64, CachedOutcome)>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-            for _ in 0..hooks {
-                let st = Arc::clone(&st);
-                let seen = Arc::clone(&seen);
-                bodies.push(Box::new(move || {
-                    use std::sync::atomic::Ordering::SeqCst;
-                    let e = st.epoch.load(SeqCst);
-                    let k = key(e, "/dev/car/door0");
-                    let out = match st.cache.lookup(&k) {
-                        Some(hit) => hit,
-                        None => {
-                            let computed = verdict_for(st.policy.load(SeqCst));
-                            st.cache.insert(&k, computed);
-                            computed
-                        }
-                    };
-                    poison_tolerant(&seen).push((e, out));
-                }));
-            }
-            {
-                let st = Arc::clone(&st);
-                bodies.push(Box::new(move || {
-                    use std::sync::atomic::Ordering::SeqCst;
-                    st.policy.store(1, SeqCst);
-                    st.epoch.fetch_add(1, SeqCst);
-                }));
-            }
-            let check = Box::new(move || {
-                for &(e, out) in poison_tolerant(&seen).iter() {
-                    if e >= 1 && out != CachedOutcome::Deny {
-                        return Err(format!(
-                            "stale verdict after epoch bump: hook saw epoch {e} but returned {out:?}"
-                        ));
-                    }
                 }
                 Ok(())
             });
@@ -289,136 +170,6 @@ pub fn profile_publish() -> Scenario {
                     }
                 }
                 Ok(())
-            });
-            ScenarioRun {
-                bodies: vec![reader, writer],
-                check,
-            }
-        }),
-    }
-}
-
-/// Keys staged so a racing insert *evicts* the entry a concurrent lookup
-/// is reading: the victim way of `evictor` (given a full home group) is
-/// exactly the slot holding `target`.
-struct TornPlan {
-    target: String,
-    fillers: Vec<String>,
-    evictor: String,
-}
-
-/// Searches key space for a [`TornPlan`] and verifies it behaviourally on
-/// a scratch production-backend cache: after inserting target + fillers,
-/// inserting the evictor must evict exactly the target. Deterministic
-/// (no randomness), so every execution stages the identical collision.
-fn torn_plan() -> TornPlan {
-    let hashes = |path: &str| key(0, path).hashes();
-    let slots = sack_core::cache::DECISION_CACHE_SLOTS;
-    let target = "/torn/target".to_string();
-    let (target_tag, _) = hashes(&target);
-    let home = (target_tag as usize) & (slots - 1);
-    // The 4-way group is reached from any member by XOR-ing way bits.
-    let group: Vec<usize> = (0..4).map(|w| home ^ w).collect();
-
-    let mut fillers: Vec<String> = Vec::new();
-    let mut needed: Vec<usize> = group.iter().copied().filter(|&s| s != home).collect();
-    let mut evictor = None;
-    for i in 0.. {
-        let cand = format!("/torn/k{i}");
-        let (tag, verifier) = hashes(&cand);
-        let cand_home = (tag as usize) & (slots - 1);
-        if let Some(pos) = needed.iter().position(|&s| s == cand_home) {
-            needed.remove(pos);
-            fillers.push(cand);
-            continue;
-        }
-        if evictor.is_none()
-            && group.contains(&cand_home)
-            && tag != target_tag
-            && cand_home ^ ((verifier >> 32) as usize & 0b11) == home
-        {
-            evictor = Some(cand);
-        }
-        if needed.is_empty() && evictor.is_some() {
-            break;
-        }
-        assert!(i < 1_000_000, "torn-pair key search did not converge");
-    }
-    let plan = TornPlan {
-        target,
-        fillers,
-        evictor: evictor.expect("search loop only exits with an evictor"),
-    };
-
-    // Behavioural proof on the real (uninstrumented) cache: the staged
-    // insert sequence must evict exactly the target. This pins the
-    // victim-selection coupling — if `DecisionCacheIn::insert` changes
-    // its eviction policy, this assertion fails loudly instead of the
-    // scenario silently exploring a collision-free (vacuous) race.
-    let scratch: DecisionCacheIn = DecisionCacheIn::new();
-    scratch.insert(&key(0, &plan.target), CachedOutcome::Allow);
-    for f in &plan.fillers {
-        scratch.insert(&key(0, f), CachedOutcome::Allow);
-    }
-    scratch.insert(&key(0, &plan.evictor), CachedOutcome::Deny);
-    assert_eq!(
-        scratch.lookup(&key(0, &plan.target)),
-        None,
-        "staged evictor failed to evict the target entry"
-    );
-    assert_eq!(
-        scratch.lookup(&key(0, &plan.evictor)),
-        Some(CachedOutcome::Deny),
-        "staged evictor did not land in the planned slot"
-    );
-    plan
-}
-
-/// One lookup races one evicting insert on the same real
-/// `DecisionCacheIn` slot (same 4-way group, different keys, overwrite
-/// staged by [`torn_plan`]).
-///
-/// Invariant: the lookup returns its own key's verdict or a miss — never
-/// the racing key's verdict. The tag+verifier dual-hash makes the torn
-/// tag/payload window harmless; the `CacheSkipVerifier` mutation removes
-/// the verifier check and the executor finds the schedule where the
-/// lookup replays the evictor's verdict.
-pub fn cache_torn_pair() -> Scenario {
-    let plan = Arc::new(torn_plan());
-    Scenario {
-        name: "cache-torn-pair",
-        threads: vec!["reader", "writer"],
-        make: Box::new(move || {
-            let cache: Arc<DecisionCacheIn<SchedBackend>> = Arc::new(DecisionCacheIn::new());
-            // Stage: target + group fillers, inserted before the race.
-            cache.insert(&key(0, &plan.target), CachedOutcome::Allow);
-            for f in &plan.fillers {
-                cache.insert(&key(0, f), CachedOutcome::Allow);
-            }
-            let seen: Arc<Mutex<Option<Option<CachedOutcome>>>> = Arc::new(Mutex::new(None));
-            let reader = {
-                let cache = Arc::clone(&cache);
-                let plan = Arc::clone(&plan);
-                let seen = Arc::clone(&seen);
-                Box::new(move || {
-                    let got = cache.lookup(&key(0, &plan.target));
-                    *poison_tolerant(&seen) = Some(got);
-                }) as Box<dyn FnOnce() + Send>
-            };
-            let writer = {
-                let cache = Arc::clone(&cache);
-                let plan = Arc::clone(&plan);
-                Box::new(move || {
-                    cache.insert(&key(0, &plan.evictor), CachedOutcome::Deny);
-                }) as Box<dyn FnOnce() + Send>
-            };
-            let check = Box::new(move || match *poison_tolerant(&seen) {
-                Some(Some(CachedOutcome::Allow)) | Some(None) => Ok(()),
-                Some(Some(other)) => Err(format!(
-                    "lookup under eviction returned {other:?} — the racing key's \
-                         verdict replayed for the wrong key"
-                )),
-                None => Err("reader never recorded a result".into()),
             });
             ScenarioRun {
                 bodies: vec![reader, writer],
@@ -553,92 +304,6 @@ pub fn lazy_first_touch() -> Scenario {
                 }
             });
             ScenarioRun { bodies, check }
-        }),
-    }
-}
-
-/// The flush-walk invalidation design the shipped cache deliberately does
-/// NOT use, rebuilt from real `PerCpuCacheIn` instances: per-instance
-/// epoch floors that an invalidator must walk and bump one by one.
-///
-/// With `skip_instance_zero = false` the walk is complete and the design
-/// holds up. With `true` it plants the `PerCpuCacheModel`
-/// skip-one-instance bug: instance 0's floor stays stale, and a hook on
-/// CPU 0 that starts *after the walk completed* still replays the
-/// pre-invalidation grant — the executor finds that schedule against real
-/// cache code, confirming the model's counterexample (and the reason the
-/// shipped design carries the epoch in every key instead).
-pub fn percpu_invalidate_walk(skip_instance_zero: bool) -> Scenario {
-    Scenario {
-        name: if skip_instance_zero {
-            "percpu-invalidate-walk-skip-one"
-        } else {
-            "percpu-invalidate-walk"
-        },
-        threads: vec!["hook", "invalidator"],
-        make: Box::new(move || {
-            let st = Arc::new(EpochState {
-                cache: PerCpuCacheIn::new(),
-                policy: RawAtomicU64::new(0),
-                epoch: RawAtomicU64::new(0), // repurposed as "walk done"
-            });
-            let floors: Arc<Vec<SAtomicU64>> =
-                Arc::new((0..2).map(|_| RawAtomicU64::new(0)).collect());
-            // Hook thread id 0 ⇒ cache instance 0; warm its pre-reload
-            // grant.
-            st.cache
-                .instance(0)
-                .insert(&key(0, "/dev/car/door0"), CachedOutcome::Allow);
-            let seen: Arc<Mutex<Vec<(u64, CachedOutcome)>>> = Arc::new(Mutex::new(Vec::new()));
-            let hook = {
-                let st = Arc::clone(&st);
-                let floors = Arc::clone(&floors);
-                let seen = Arc::clone(&seen);
-                Box::new(move || {
-                    use std::sync::atomic::Ordering::SeqCst;
-                    let walk_done = st.epoch.load(SeqCst);
-                    let my = current_cpu_in::<SchedBackend>();
-                    let floor = floors[my].load(SeqCst);
-                    let k = key(floor, "/dev/car/door0");
-                    let out = match st.cache.lookup(&k) {
-                        Some(hit) => hit,
-                        None => {
-                            let computed = verdict_for(st.policy.load(SeqCst));
-                            st.cache.insert(&k, computed);
-                            computed
-                        }
-                    };
-                    poison_tolerant(&seen).push((walk_done, out));
-                }) as Box<dyn FnOnce() + Send>
-            };
-            let invalidator = {
-                let st = Arc::clone(&st);
-                let floors = Arc::clone(&floors);
-                Box::new(move || {
-                    use std::sync::atomic::Ordering::SeqCst;
-                    st.policy.store(1, SeqCst);
-                    if !skip_instance_zero {
-                        floors[0].store(1, SeqCst);
-                    }
-                    floors[1].store(1, SeqCst);
-                    st.epoch.store(1, SeqCst); // walk complete
-                }) as Box<dyn FnOnce() + Send>
-            };
-            let check = Box::new(move || {
-                for &(walk_done, out) in poison_tolerant(&seen).iter() {
-                    if walk_done == 1 && out != CachedOutcome::Deny {
-                        return Err(format!(
-                            "stale verdict after completed invalidate walk: hook started \
-                             after the walk finished but returned {out:?}"
-                        ));
-                    }
-                }
-                Ok(())
-            });
-            ScenarioRun {
-                bodies: vec![hook, invalidator],
-                check,
-            }
         }),
     }
 }

@@ -5,7 +5,7 @@
 //! flows through `sack_kernel::sync::shim`. A single direct
 //! `std::sync::atomic` call in a protocol file silently escapes the
 //! scheduler and rots the executor's "no schedule exists" claim. This
-//! pass scans `crates/kernel/src` and `crates/core/src/cache.rs` for
+//! pass scans `crates/kernel/src` for
 //! direct `std::sync` / `std::thread` (and `parking_lot` / `crossbeam` /
 //! `loom`) use and flags anything that is not:
 //!
@@ -169,13 +169,10 @@ const ALLOWED_SYNC_ITEMS: &[&str] = &[
 ];
 
 /// The default lint roots for this repository: the kernel crate's
-/// sources and the lock-free decision cache.
+/// sources, where every lock-free protocol lives.
 #[must_use]
 pub fn default_roots(repo_root: &Path) -> Vec<PathBuf> {
-    vec![
-        repo_root.join("crates/kernel/src"),
-        repo_root.join("crates/core/src/cache.rs"),
-    ]
+    vec![repo_root.join("crates/kernel/src")]
 }
 
 /// Lints every `.rs` file under the given roots (files or directories).

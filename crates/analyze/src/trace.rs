@@ -6,17 +6,16 @@
 //! ```text
 //! # flight capacity=256 total=9 dropped=0
 //! seq=3 producer=0 pseq=2 ssm_transition from=normal to=emergency event=crash
-//! seq=4 producer=0 pseq=3 rcu_epoch_bump epoch=1
-//! seq=5 producer=0 pseq=4 cache_invalidate epoch=1
+//! seq=4 producer=0 pseq=3 policy_publish generation=2
 //! seq=8 producer=1 pseq=0 hook_exit hook=file_open verdict=deny ns=412
+//! seq=9 producer=1 pseq=1 audit_emit seq=0
 //! ```
 //!
 //! This module parses that text back into structure ([`parse_flight`]),
 //! lints it for the anomalies an operator actually chases
 //! ([`lint_flight`]: transition storms, backpressure storms,
-//! per-producer sequence gaps, ring overflow; [`lint_metrics`]: cache
-//! hit-rate collapse), and
-//! renders an annotated replay ([`render_report`]) that pairs every
+//! per-producer sequence gaps, ring overflow), and renders an annotated
+//! replay ([`render_report`]) that pairs every
 //! denial with the situation transition that preceded it.
 //!
 //! [`self_check`] closes the loop end to end: it boots an in-memory
@@ -89,7 +88,7 @@ pub struct FlightDump {
     pub records: Vec<FlightRecord>,
 }
 
-/// One finding from [`lint_flight`] / [`lint_metrics`].
+/// One finding from [`lint_flight`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Anomaly {
     /// `Error` findings exit the CLI non-zero; warnings are advisory.
@@ -388,48 +387,6 @@ pub fn lint_flight(dump: &FlightDump) -> Vec<Anomaly> {
     anomalies
 }
 
-/// Minimum lookups before the hit-rate lint has enough signal to fire.
-const HIT_RATE_MIN_LOOKUPS: u64 = 100;
-
-/// Lints the `tracing/metrics_json` node text for a decision-cache
-/// hit-rate collapse: with at least [`HIT_RATE_MIN_LOOKUPS`] lookups, a
-/// hit rate below 50% means invalidation churn is defeating the cache.
-///
-/// The scan is deliberately schema-light — it only extracts the
-/// `cache_hit` / `cache_miss` tracepoint counters — so it keeps working
-/// as the node grows fields.
-pub fn lint_metrics(metrics_json: &str) -> Vec<Anomaly> {
-    let counter = |key: &str| -> Option<u64> {
-        let idx = metrics_json.find(&format!("\"{key}\":"))?;
-        let digits: String = metrics_json[idx + key.len() + 3..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().ok()
-    };
-    let (Some(hits), Some(misses)) = (counter("cache_hit"), counter("cache_miss")) else {
-        return vec![Anomaly::new(
-            IssueSeverity::Warning,
-            "metrics-unreadable",
-            "metrics JSON lacks cache_hit/cache_miss tracepoint counters".to_string(),
-        )];
-    };
-    let lookups = hits + misses;
-    if lookups >= HIT_RATE_MIN_LOOKUPS && hits * 2 < lookups {
-        return vec![Anomaly::new(
-            IssueSeverity::Error,
-            "hit-rate-collapse",
-            format!(
-                "decision-cache hit rate collapsed to {:.1}% over {lookups} \
-                 lookups ({hits} hits / {misses} misses) — epoch churn is \
-                 invalidating faster than tasks can re-warm",
-                100.0 * hits as f64 / lookups as f64
-            ),
-        )];
-    }
-    Vec::new()
-}
-
 /// Renders a parsed dump plus its lint findings as the `trace`
 /// subcommand's report: ring summary, the replay with every denial
 /// annotated with the situation transition that preceded it, then the
@@ -673,16 +630,15 @@ pub fn self_check() -> Result<String, String> {
         .map_err(|e| fail("create", e.to_string()))?;
 
     // The situation history the flight must replay: crash into
-    // emergency, where writes to the door are allowed — repeating the
-    // same check warms the decision cache (one miss, then hits) — then
-    // rescue back to normal, where the same write is denied.
+    // emergency, where writes to the door are allowed, then rescue back
+    // to normal, where the same write is denied.
     let app = kernel.spawn(Credentials::user(1000, 1000));
     sack.deliver_event("crash", std::time::Duration::ZERO)
         .map_err(|e| fail("crash event", e.to_string()))?;
     for _ in 0..3 {
         let fd = app
             .open("/dev/car/door0", OpenFlags::write_only())
-            .map_err(|e| fail("warm write in emergency", e.to_string()))?;
+            .map_err(|e| fail("write in emergency", e.to_string()))?;
         app.close(fd).ok();
     }
     sack.deliver_event("rescue_done", std::time::Duration::ZERO)
@@ -868,8 +824,8 @@ mod tests {
             to: "emergency".into(),
             event: "crash".into(),
         });
-        ring.record(TraceEvent::RcuEpochBump { epoch: 1 });
-        ring.record(TraceEvent::CacheInvalidate { epoch: 1 });
+        ring.record(TraceEvent::PolicyPublish { generation: 2 });
+        ring.record(TraceEvent::AuditEmit { seq: 0 });
         ring.record(TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
@@ -893,11 +849,14 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_dumps() {
         assert!(parse_flight("").is_err());
-        assert!(parse_flight("seq=0 producer=0 pseq=0 cache_hit\n").is_err());
+        assert!(parse_flight("seq=0 producer=0 pseq=0 audit_emit seq=0\n").is_err());
         let header = "# flight capacity=4 total=1 dropped=0\n";
-        assert!(parse_flight(&format!("{header}seq=0 pseq=0 cache_hit\n")).is_err());
+        assert!(parse_flight(&format!("{header}seq=0 pseq=0 audit_emit seq=0\n")).is_err());
         assert!(parse_flight(&format!("{header}seq=0 producer=0 pseq=0 warp_drive\n")).is_err());
-        assert!(parse_flight(&format!("{header}seq=x producer=0 pseq=0 cache_hit\n")).is_err());
+        assert!(parse_flight(&format!(
+            "{header}seq=x producer=0 pseq=0 audit_emit seq=0\n"
+        ))
+        .is_err());
     }
 
     fn record(
@@ -931,8 +890,8 @@ mod tests {
     #[test]
     fn lint_flags_overflow_and_pseq_gap() {
         let mut dump = dump_of(vec![
-            record(0, 0, 0, "cache_hit", &[]),
-            record(1, 0, 3, "cache_hit", &[]),
+            record(0, 0, 0, "audit_emit", &[("seq", "0")]),
+            record(1, 0, 3, "audit_emit", &[("seq", "1")]),
         ]);
         dump.dropped = 5;
         let anomalies = lint_flight(&dump);
@@ -1033,19 +992,6 @@ mod tests {
             })
             .collect();
         assert!(lint_flight(&dump_of(records)).is_empty());
-    }
-
-    #[test]
-    fn lint_metrics_flags_hit_rate_collapse() {
-        let healthy = r#"{"tracepoints":{"cache_hit":900,"cache_miss":100}}"#;
-        assert!(lint_metrics(healthy).is_empty());
-        let collapsed = r#"{"tracepoints":{"cache_hit":10,"cache_miss":190}}"#;
-        let anomalies = lint_metrics(collapsed);
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].check, "hit-rate-collapse");
-        // Too few lookups to call it.
-        let cold = r#"{"tracepoints":{"cache_hit":1,"cache_miss":9}}"#;
-        assert!(lint_metrics(cold).is_empty());
     }
 
     #[test]

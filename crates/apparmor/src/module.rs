@@ -71,14 +71,6 @@ impl AppArmor {
         &self.policy
     }
 
-    /// Generation counter of the confinement map: bumps every time any
-    /// task's confinement (or compiled-profile snapshot) changes. SACK's
-    /// decision cache folds this into its key so cached profile-oracle
-    /// answers self-invalidate.
-    pub fn confinement_generation(&self) -> u64 {
-        self.confinement.generation() as u64
-    }
-
     /// Confines `pid` under the named profile immediately (the
     /// `aa-exec -p` administrative path).
     ///
@@ -307,8 +299,7 @@ impl SecurityModule for AppArmor {
     }
 
     fn task_free(&self, pid: Pid) {
-        // Skip the copy-and-swap when the task was never confined: exit of
-        // unconfined tasks must not invalidate SACK's cached oracle answers.
+        // Skip the copy-and-swap when the task was never confined.
         if self.confinement.read().contains_key(&pid) {
             self.confinement.update(|map| {
                 let mut next = map.clone();

@@ -2,7 +2,7 @@
 //! transition coalescing and backpressure (DESIGN.md §11).
 //!
 //! The synchronous path pays one `write(2)` + one SSM evaluation + one
-//! epoch bump per sensor frame. At realistic sensor rates that per-frame
+//! possible transition publish per sensor frame. At realistic sensor rates that per-frame
 //! cost dominates (the ROADMAP's "next scaling wall"), so this module adds
 //! an io_uring-style submission plane:
 //!
@@ -11,7 +11,7 @@
 //!   ([`sack_kernel::ring::Ring`]) — no syscall, no SSM work, no lock.
 //! * A drain ([`EventPlane::drain`]) consumes a whole batch and feeds it to
 //!   [`crate::sack::Sack::deliver_coalesced`]: N frames collapse into **at
-//!   most one** SSM transition, one epoch bump and one cache invalidation.
+//!   most one** SSM transition and one `ssm_transition` trace.
 //! * When the ring fills, the configured [`BackpressurePolicy`] applies:
 //!   `Block` makes the producer help drain and retry (lossless);
 //!   `DropOldest` discards the oldest frames with an exact producer-visible
@@ -386,8 +386,8 @@ impl EventPlane {
     }
 
     /// Consumes up to `max` queued frames as one batch and delivers them
-    /// coalesced: at most one SSM transition + epoch bump + cache
-    /// invalidation for the whole batch. An empty ring is a no-op.
+    /// coalesced: at most one SSM transition for the whole batch. An empty
+    /// ring is a no-op.
     ///
     /// # Errors
     ///
@@ -502,9 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_coalesces_to_one_transition_and_one_epoch_bump() {
+    fn batch_coalesces_to_one_transition() {
         let (sack, plane) = plane(64, BackpressurePolicy::DropOldest);
-        let epoch_before = sack.policy_epoch();
         // crash, rescue_done, crash: three effective transitions that
         // coalesce into one publish ending in emergency.
         for name in ["crash", "rescue_done", "crash"] {
@@ -516,8 +515,7 @@ mod tests {
         assert_eq!(out.matched, 3);
         assert!(out.transitioned);
         assert_eq!(sack.current_state_name(), "emergency");
-        assert_eq!(sack.policy_epoch(), epoch_before + 1, "one bump per drain");
-        assert_eq!(sack.active().ssm.taken_count(), 1);
+        assert_eq!(sack.active().ssm.taken_count(), 1, "one publish per drain");
         assert_eq!(plane.transitions_published(), 1);
         assert_eq!(plane.frames_coalesced(), 2);
         assert_eq!(plane.drained_frames(), 3);
@@ -578,7 +576,7 @@ mod tests {
         let out = plane.drain_all().unwrap();
         assert_eq!(out, DrainOutcome::default());
         assert_eq!(plane.drain_batches(), 0);
-        assert_eq!(sack.policy_epoch(), 0);
+        assert_eq!(sack.active().ssm.taken_count(), 0);
     }
 
     #[test]

@@ -62,7 +62,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod audit;
-pub mod cache;
 pub mod enhance;
 pub mod eventplane;
 pub mod policy;
@@ -78,10 +77,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use audit::{AuditLog, AuditRecord};
-pub use cache::{
-    current_cpu, current_cpu_in, CachedOutcome, DecisionCache, DecisionCacheIn, DecisionKey,
-    PerCpuCache, PerCpuCacheIn, CPU_INSTANCES,
-};
 pub use enhance::{AppArmorEnhancer, EnhanceError, SACK_RULE_ORIGIN};
 pub use eventplane::{
     BackpressurePolicy, DrainOutcome, EventFrame, EventPlane, FrameError, MAX_EVENT_NAME,
@@ -99,4 +94,4 @@ pub use ssm::{
 pub use statedfa::{StateDecision, StateDfa};
 pub use stats::{HistogramSnapshot, LatencyHistogram, ShardedCounter};
 pub use telemetry::{decode_hist_key, hist_key, TelemetrySnapshot, TELEMETRY_HIST_KEYS};
-pub use trace::{CacheFlag, FlightEntry, FlightRecorder, SackTracing};
+pub use trace::{FlightEntry, FlightRecorder, SackTracing};

@@ -3,7 +3,6 @@
 //! or **SACK-enhanced AppArmor** (patches AppArmor's policies on situation
 //! transitions). Paper §III-E-3.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -17,10 +16,8 @@ use sack_kernel::kernel::Kernel;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectKind, ObjectRef, SecurityModule};
 use sack_kernel::sync::Rcu;
 use sack_kernel::trace::{TraceEvent, TraceHub};
-use sack_kernel::types::Pid;
 
 use crate::audit::{AuditLog, AuditRecord};
-use crate::cache::{CachedOutcome, DecisionKey, PerCpuCache};
 use crate::enhance::{validate_for_enhancement, AppArmorEnhancer, EnhanceError};
 use crate::eventplane::{BackpressurePolicy, EventPlane};
 use crate::policy::{CompiledPolicy, ParsePolicyError, PolicyIssue, SackPolicy};
@@ -119,9 +116,11 @@ pub struct SackStats {
     pub events_received: ShardedCounter,
     /// Events rejected as unknown.
     pub events_unknown: ShardedCounter,
-    /// Decision-cache hits (access granted without re-evaluating rules).
+    /// Always 0. The decision cache this counted is gone (DESIGN.md
+    /// §5.3); the field stays because the `sackbench` benchmark reads it
+    /// for its `core.cache.hit_ratio` metric, which now reports 0.
     pub cache_hits: ShardedCounter,
-    /// Decision-cache misses (full evaluation performed).
+    /// Always 0; kept for the same reason as [`SackStats::cache_hits`].
     pub cache_misses: ShardedCounter,
 }
 
@@ -143,7 +142,8 @@ pub struct ActivePolicy {
     /// drain can tell whether a submit-time hint still names the snapshot
     /// it is about to deliver into: a policy reload swaps the whole
     /// snapshot — generation included — in one RCU publish, and a stale
-    /// hint simply falls back to resolution by name.
+    /// hint simply falls back to resolution by name. The `policy_publish`
+    /// tracepoint reports it too.
     pub load_generation: u64,
 }
 
@@ -192,23 +192,9 @@ pub struct Sack {
     audit: AuditLog,
     /// Set at [`Sack::attach`]; used to timestamp audit records.
     kernel: Rcu<Option<std::sync::Weak<Kernel>>>,
-    /// Global decision epoch: bumped on policy reload, oracle rewiring and
-    /// situation transitions. Folded into every [`DecisionKey`], so cached
-    /// decisions from before any such change self-invalidate.
-    policy_epoch: AtomicU64,
-    /// Ablation/debug switch for the decision cache (default on).
-    cache_enabled: AtomicBool,
-    /// Ablation/debug switch for the unified per-state DFA matcher on the
-    /// cache-miss path (default on; off falls back to the linear scan).
+    /// Ablation/debug switch for the unified per-state DFA matcher
+    /// (default on; off falls back to the linear scan).
     dfa_enabled: AtomicBool,
-    /// Opt-in negative (denial) caching (default off): replayed denials
-    /// still count, but the audit record is emitted only once.
-    negative_cache_enabled: AtomicBool,
-    /// Per-task decision caches, RCU-published copy-on-write (entries are
-    /// added on a task's first mediated access and dropped on `task_free`).
-    /// Each entry is a per-CPU array of instances, so concurrent hooks of
-    /// the same task never share a cache line on the lookup path.
-    caches: Rcu<HashMap<Pid, Arc<PerCpuCache>>>,
     /// sack-trace recorder, wired once at [`Sack::attach`] (or explicitly
     /// via [`Sack::install_tracing`]). A `OnceLock` rather than an `Rcu`
     /// because the hot path reads it on every check: the untraced cost must
@@ -237,11 +223,7 @@ impl Sack {
             stats: SackStats::default(),
             audit: AuditLog::new(),
             kernel: Rcu::new(None),
-            policy_epoch: AtomicU64::new(0),
-            cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
-            negative_cache_enabled: AtomicBool::new(false),
-            caches: Rcu::new(HashMap::new()),
             tracing: OnceLock::new(),
             plane: OnceLock::new(),
         }))
@@ -272,11 +254,7 @@ impl Sack {
             stats: SackStats::default(),
             audit: AuditLog::new(),
             kernel: Rcu::new(None),
-            policy_epoch: AtomicU64::new(0),
-            cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
-            negative_cache_enabled: AtomicBool::new(false),
-            caches: Rcu::new(HashMap::new()),
             tracing: OnceLock::new(),
             plane: OnceLock::new(),
         }))
@@ -299,9 +277,6 @@ impl Sack {
             apparmor.policy().set_trace_hub(Arc::clone(tracing.hub()));
         }
         self.profile_oracle.store(Some(apparmor));
-        let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-        self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
     }
 
     /// Snapshot of the active policy (wait-free RCU read).
@@ -315,26 +290,9 @@ impl Sack {
         active.ssm.current_name().to_string()
     }
 
-    /// The current decision epoch (telemetry for tests and stats).
-    pub fn policy_epoch(&self) -> u64 {
-        self.policy_epoch.load(Ordering::SeqCst)
-    }
-
-    /// Enables or disables the per-task decision cache (enabled by
-    /// default). Used by the ablation benchmarks; disabling never changes
-    /// decisions, only the cost of reaching them.
-    pub fn set_decision_cache_enabled(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// True if the decision cache is enabled.
-    pub fn decision_cache_enabled(&self) -> bool {
-        self.cache_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Enables or disables the unified per-state DFA matcher on the
-    /// cache-miss path (enabled by default). Disabled, the cold path falls
-    /// back to the O(rules) protected-set + rule-scan pipeline; decisions
+    /// Enables or disables the unified per-state DFA matcher (enabled by
+    /// default). Disabled, the hook falls back to the O(rules)
+    /// protected-set + rule-scan pipeline; decisions
     /// are identical either way (the scan is the DFA's differential
     /// oracle), only the cost changes. Used by the ablation benchmarks.
     ///
@@ -358,26 +316,6 @@ impl Sack {
     /// True if the unified DFA matcher is enabled.
     pub fn dfa_matcher_enabled(&self) -> bool {
         self.dfa_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Opts in (or back out of) negative decision caching: with it on,
-    /// denials are cached and replayed like grants — the denial counter
-    /// still increments on every refusal, but the audit log receives the
-    /// record only from the first, uncached evaluation (exactly once per
-    /// distinct decision). Off (the default), every denial takes the slow
-    /// path and is audited individually.
-    pub fn set_negative_cache_enabled(&self, enabled: bool) {
-        self.negative_cache_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// True if negative (denial) caching is opted in.
-    pub fn negative_cache_enabled(&self) -> bool {
-        self.negative_cache_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Number of tasks currently holding a decision cache.
-    pub fn cached_task_count(&self) -> usize {
-        self.caches.read().len()
     }
 
     /// Registers the SACKfs nodes (`events`, `state`, `policy`, `stats`)
@@ -468,23 +406,6 @@ impl Sack {
             .unwrap_or(std::time::Duration::ZERO)
     }
 
-    /// The decision cache for `pid`, created on first use.
-    fn task_cache(&self, pid: Pid) -> Arc<PerCpuCache> {
-        if let Some(cache) = self.caches.read().get(&pid) {
-            return Arc::clone(cache);
-        }
-        self.caches.update(|map| match map.get(&pid) {
-            // Lost a race with another hook of the same task: reuse.
-            Some(cache) => (map.clone(), Arc::clone(cache)),
-            None => {
-                let cache = Arc::new(PerCpuCache::new());
-                let mut next = map.clone();
-                next.insert(pid, Arc::clone(&cache));
-                (next, cache)
-            }
-        })
-    }
-
     /// Delivers a situation event by name at simulated time `now`
     /// (Algorithm 1 step). This is the entry point SACKfs calls for every
     /// `write(2)` on `/sys/kernel/security/SACK/events`.
@@ -514,23 +435,14 @@ impl Sack {
                     event: name.to_string(),
                 }
             });
-            // The situation changed: retire every cached decision. (The
-            // state id already keys the cache; the epoch bump additionally
-            // covers enhanced-mode profile patches and keeps transition
-            // semantics uniform across modes.)
-            let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-            // Exactly one invalidate per bump — never one per cache slot;
-            // the interleaving model in sack-analyze pins this down.
-            self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
         }
         Ok(outcome)
     }
 
     /// Delivers a whole drain batch of event names as **one** coalesced SSM
-    /// publish: for the entire batch, at most one transition, one
-    /// `ssm_transition` trace, one epoch bump and one cache invalidation —
-    /// the amortization the event plane exists for (DESIGN.md §11).
+    /// publish: for the entire batch, at most one transition and one
+    /// `ssm_transition` trace — the amortization the event plane exists
+    /// for (DESIGN.md §11).
     ///
     /// Unknown names are counted in `events_unknown` and skipped rather
     /// than failing the batch: a frame validated at submit time can still
@@ -597,7 +509,7 @@ impl Sack {
 
     /// Shared tail of the coalesced-delivery paths: one dry-run SSM pass
     /// over `ids`, then — only if the batch's net effect is a transition —
-    /// one publish, one trace, one epoch bump, one cache invalidation.
+    /// one publish and one trace.
     fn publish_coalesced(
         &self,
         active: &ActivePolicy,
@@ -621,11 +533,6 @@ impl Sack {
                     .map(|e| space.event(e).name.clone())
                     .unwrap_or_default(),
             });
-            // Same invalidation protocol as deliver_event, but once per
-            // batch instead of once per effective transition.
-            let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-            self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
         }
         Ok(outcome)
     }
@@ -647,33 +554,21 @@ impl Sack {
                 .map_err(SackError::Enhance)?;
         }
         let warnings = next.policy.warnings().to_vec();
-        // Publish first, then bump the epoch: a hook that observes the new
-        // epoch is guaranteed (SeqCst) to also observe the new policy, so no
-        // cache entry can pair a new epoch with an old-policy decision.
+        let generation = next.load_generation;
         self.active.store(next);
-        let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.trace_emit(|| TraceEvent::PolicyPublish { epoch });
-        self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-        self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
+        self.trace_emit(|| TraceEvent::PolicyPublish { generation });
         Ok(warnings)
     }
 
     /// The independent-mode access check shared by the file hooks.
     ///
-    /// Fast path: an epoch-tagged per-task cache replays previous
-    /// decisions without touching the protected set, the rule tables or
-    /// the profile oracle. Denials are not cached unless negative caching
-    /// is opted in — by default every refusal takes the slow path so the
-    /// denial counter and the audit log stay exact; with negative caching
-    /// on, a replayed denial still counts but is audited only once.
-    /// Counter semantics are identical with the cache on or off: a hit
-    /// bumps the same counters the slow path would have.
-    ///
-    /// Cold path: one walk of the state's unified DFA answers both the
-    /// protected-set membership and the rule decision in O(|path|)
+    /// One walk of the current state's unified DFA answers both the
+    /// protected-set membership and the rule decision in O(|path|),
     /// independent of rule count; `set_dfa_matcher_enabled(false)` falls
     /// back to the original O(rules) scan pipeline (the differential
-    /// oracle), which must decide identically.
+    /// oracle), which must decide identically. Every denial is counted and
+    /// audited. DESIGN.md §5.3 explains why no decision cache fronts the
+    /// walk.
     fn check_access(
         &self,
         ctx: &HookCtx,
@@ -688,61 +583,13 @@ impl Sack {
         if matches!(obj.kind, ObjectKind::Pipe | ObjectKind::Socket) {
             return Ok(());
         }
-        // Epoch before snapshot: seeing an epoch implies (SeqCst) seeing at
-        // least the policy/oracle state published before that epoch, so an
-        // entry tagged with it can never replay an older policy's decision.
-        let epoch = self.policy_epoch.load(Ordering::SeqCst);
         let oracle = self.profile_oracle.read();
-        let confinement_gen = (*oracle)
-            .as_ref()
-            .map_or(0, |aa| aa.confinement_generation());
         let active = self.active.read();
         let state: StateId = active.ssm.current();
         let mac_override = ctx.cred.capable(Capability::MacOverride);
-        let key = DecisionKey {
-            epoch,
-            confinement_gen,
-            state: state.0,
-            uid: ctx.cred.uid.0,
-            mac_override,
-            exe: ctx.exe.as_ref().map(|p| p.as_str()),
-            path: obj.path.as_str(),
-            perms: requested.bits(),
-        };
-        let cache = self
-            .cache_enabled
-            .load(Ordering::Relaxed)
-            .then(|| self.task_cache(ctx.pid));
-        if let Some(cache) = &cache {
-            if let Some(outcome) = cache.lookup(&key) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.trace_emit(|| TraceEvent::CacheHit);
-                let counter = match outcome {
-                    CachedOutcome::Unprotected => &self.stats.unprotected,
-                    CachedOutcome::Override => &self.stats.overrides,
-                    CachedOutcome::Allow | CachedOutcome::Deny => &self.stats.checks,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                if outcome == CachedOutcome::Deny {
-                    // Replayed denial: counted like the slow path, but the
-                    // audit record was already emitted by the first
-                    // (uncached) evaluation — exactly once per decision.
-                    self.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    return Err(KernelError::with_context(Errno::EACCES, "sack"));
-                }
-                return Ok(());
-            }
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.trace_emit(|| TraceEvent::CacheMiss);
-        }
-        let record = |outcome: CachedOutcome| {
-            if let Some(cache) = &cache {
-                cache.insert(&key, outcome);
-            }
-        };
-        // Cold path: one unified-DFA walk answers protected-set membership
-        // and the rule decision together; the legacy pipeline re-derives
-        // both with O(rules) scans when the matcher is toggled off.
+        // One unified-DFA walk answers protected-set membership and the
+        // rule decision together; the legacy pipeline re-derives both with
+        // O(rules) scans when the matcher is toggled off.
         let (protected, permitted) = if self.dfa_enabled.load(Ordering::Relaxed) {
             let profile = (*oracle)
                 .as_ref()
@@ -778,17 +625,14 @@ impl Sack {
         };
         if !protected {
             self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
-            record(CachedOutcome::Unprotected);
             return Ok(());
         }
         if mac_override {
             self.stats.overrides.fetch_add(1, Ordering::Relaxed);
-            record(CachedOutcome::Override);
             return Ok(());
         }
         self.stats.checks.fetch_add(1, Ordering::Relaxed);
         if permitted {
-            record(CachedOutcome::Allow);
             Ok(())
         } else {
             self.stats.denials.fetch_add(1, Ordering::Relaxed);
@@ -803,9 +647,6 @@ impl Sack {
                 state: active.ssm.space().state(state).name.clone(),
             });
             self.trace_emit(|| TraceEvent::AuditEmit { seq });
-            if self.negative_cache_enabled.load(Ordering::Relaxed) {
-                record(CachedOutcome::Deny);
-            }
             Err(KernelError::with_context(Errno::EACCES, "sack"))
         }
     }
@@ -855,18 +696,6 @@ impl SecurityModule for Sack {
         };
         self.check_access(ctx, &new_obj, FilePerms::WRITE)
     }
-
-    fn task_free(&self, pid: Pid) {
-        // Drop the task's decision cache; skip the copy-and-swap for tasks
-        // that never triggered a mediated access.
-        if self.caches.read().contains_key(&pid) {
-            self.caches.update(|map| {
-                let mut next = map.clone();
-                next.remove(&pid);
-                (next, ())
-            });
-        }
-    }
 }
 
 impl fmt::Debug for Sack {
@@ -885,7 +714,7 @@ mod tests {
     use sack_kernel::file::OpenFlags;
     use sack_kernel::kernel::KernelBuilder;
     use sack_kernel::path::KPath;
-    use sack_kernel::types::Mode;
+    use sack_kernel::types::{Mode, Pid};
 
     const DOOR_POLICY: &str = r#"
         states { normal = 0; emergency = 1; }
@@ -1162,22 +991,19 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_hits_and_invalidates_on_transition() {
+    fn repeated_access_follows_each_transition() {
         let (kernel, sack) = boot_independent();
         let rescue = kernel.spawn(Credentials::user(100, 100));
         rescue.exec("/usr/bin/rescue_daemon").unwrap();
 
-        // Warm the cache on the read decision, then replay it.
         for _ in 0..5 {
             assert!(rescue
                 .open("/dev/car/door0", OpenFlags::read_only())
                 .is_ok());
         }
-        let hits = sack.stats().cache_hits.load(Ordering::Relaxed);
-        assert!(hits > 0, "repeated identical accesses must hit the cache");
 
         // Transition mid-stream: the very next decision must reflect the
-        // new state, not the cached normal-state one.
+        // new state, not the normal-state one the task just saw.
         assert!(rescue
             .open("/dev/car/door0", OpenFlags::write_only())
             .is_err());
@@ -1193,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_invalidates_on_policy_reload() {
+    fn policy_reload_applies_to_the_next_access() {
         let (kernel, sack) = boot_independent();
         let rescue = kernel.spawn(Credentials::user(100, 100));
         rescue.exec("/usr/bin/rescue_daemon").unwrap();
@@ -1203,7 +1029,8 @@ mod tests {
                 .is_ok());
         }
         // Swap in a policy that still protects /dev/car/** but grants
-        // nothing: the warmed allow-read decision must die with the reload.
+        // nothing: the allow-read the task just saw must die with the
+        // reload.
         sack.reload_policy(
             r#"
             states { lockdown = 0; } initial lockdown;
@@ -1220,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_invalidates_on_confinement_change() {
+    fn confinement_change_applies_to_the_next_access() {
         let policy = r#"
             states { s = 0; } initial s;
             permissions { P; }
@@ -1251,52 +1078,14 @@ mod tests {
             .unwrap();
         let task = kernel.spawn(Credentials::user(100, 100));
         apparmor.set_profile(task.pid(), "trusted").unwrap();
-        // Warm the profile-dependent allow decision.
         for _ in 0..3 {
             assert!(task.read_to_vec("/secret/key").is_ok());
         }
-        // Unconfining bumps the confinement generation: the cached oracle
-        // answer ("task is profile `trusted`") must not be replayed.
+        // Unconfined, the task no longer matches `subject=profile:trusted`
+        // on its very next access.
         apparmor.unconfine(task.pid());
         let err = task.read_to_vec("/secret/key").unwrap_err();
         assert_eq!(err.context(), Some("sack"));
-    }
-
-    #[test]
-    fn decision_cache_disabled_keeps_decisions_and_counters() {
-        let (kernel, sack) = boot_independent();
-        sack.set_decision_cache_enabled(false);
-        assert!(!sack.decision_cache_enabled());
-        let rescue = kernel.spawn(Credentials::user(100, 100));
-        rescue.exec("/usr/bin/rescue_daemon").unwrap();
-        for _ in 0..5 {
-            assert!(rescue
-                .open("/dev/car/door0", OpenFlags::read_only())
-                .is_ok());
-        }
-        assert_eq!(sack.stats().cache_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(sack.stats().cache_misses.load(Ordering::Relaxed), 0);
-        assert!(sack.stats().checks.load(Ordering::Relaxed) >= 5);
-        sack.deliver_event("crash", Duration::ZERO).unwrap();
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_ok());
-    }
-
-    #[test]
-    fn task_exit_drops_decision_cache_entry() {
-        let (kernel, sack) = boot_independent();
-        let p = kernel.spawn(Credentials::user(100, 100));
-        assert!(p.open("/dev/car/door0", OpenFlags::read_only()).is_ok());
-        assert!(sack.stats().cache_misses.load(Ordering::Relaxed) > 0);
-        let with_task = sack.cached_task_count();
-        assert!(with_task >= 1);
-        p.exit();
-        assert_eq!(
-            sack.cached_task_count(),
-            with_task - 1,
-            "task_free must drop the per-task cache"
-        );
     }
 
     #[test]
@@ -1341,41 +1130,8 @@ mod tests {
     }
 
     #[test]
-    fn negative_cache_replays_denials_without_duplicate_audit() {
+    fn every_denial_is_counted_and_audited() {
         let (kernel, sack) = boot_independent();
-        sack.set_negative_cache_enabled(true);
-        assert!(sack.negative_cache_enabled());
-        let media = kernel.spawn(Credentials::user(200, 200));
-        media.exec("/usr/bin/media_app").unwrap();
-        for _ in 0..5 {
-            let err = media
-                .open("/dev/car/door0", OpenFlags::write_only())
-                .unwrap_err();
-            assert_eq!(err.context(), Some("sack"));
-        }
-        // Every refusal is counted, but the audit record is emitted exactly
-        // once, by the first (uncached) evaluation.
-        assert_eq!(sack.stats().denials.load(Ordering::Relaxed), 5);
-        assert_eq!(
-            sack.audit().total(),
-            1,
-            "a replayed cached denial must not be re-audited"
-        );
-        assert!(sack.stats().cache_hits.load(Ordering::Relaxed) >= 4);
-
-        // The cached denial dies with the epoch: after a transition the
-        // decision is re-evaluated (and, still denied, re-audited once).
-        sack.deliver_event("crash", Duration::ZERO).unwrap();
-        assert!(media
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_err());
-        assert_eq!(sack.audit().total(), 2);
-    }
-
-    #[test]
-    fn negative_cache_off_audits_every_denial() {
-        let (kernel, sack) = boot_independent();
-        assert!(!sack.negative_cache_enabled());
         let media = kernel.spawn(Credentials::user(200, 200));
         media.exec("/usr/bin/media_app").unwrap();
         for _ in 0..5 {
@@ -1393,7 +1149,6 @@ mod tests {
         // Force every decision down the legacy O(rules) scan path and
         // replay the per-state scenario: outcomes must be identical.
         sack.set_dfa_matcher_enabled(false);
-        sack.set_decision_cache_enabled(false);
         assert!(!sack.dfa_matcher_enabled());
         let rescue = kernel.spawn(Credentials::user(100, 100));
         rescue.exec("/usr/bin/rescue_daemon").unwrap();
@@ -1419,7 +1174,6 @@ mod tests {
     #[test]
     fn reload_rebuilds_state_dfa_tables() {
         let (_kernel, sack) = boot_independent();
-        let epoch = sack.policy_epoch();
         // Hold the old snapshot alive so a rebuilt table cannot land on a
         // recycled allocation and alias the old pointer.
         let active_before = sack.active();
@@ -1432,18 +1186,17 @@ mod tests {
             before, after,
             "reload must rebuild per-state DFA tables, not reuse them"
         );
-        assert!(sack.policy_epoch() > epoch);
+        assert!(active_after.load_generation > active_before.load_generation);
     }
 
-    /// SSM transitions racing warm lookups on several threads: once a
-    /// transition's epoch bump has completed, no thread may get a verdict
-    /// computed against the retired situation state. The workers hammer the
-    /// same task's per-CPU caches *during* each `deliver_event` (verdicts in
-    /// that window may come from either side of the transition), then every
-    /// thread probes once after the bump and must see the new state's
-    /// verdict.
+    /// SSM transitions racing hooks on several threads: once
+    /// `deliver_event` has returned, no thread may get a verdict computed
+    /// against the retired situation state. The workers hammer the same
+    /// task's hooks *during* each `deliver_event` (verdicts in that window
+    /// may come from either side of the transition), then every thread
+    /// probes once after it returns and must see the new state's verdict.
     #[test]
-    fn ssm_transition_racing_warm_lookups_never_replays_retired_state() {
+    fn ssm_transition_racing_hooks_never_answers_from_retired_state() {
         use sack_kernel::lsm::AccessMask;
         use std::sync::Barrier;
 
@@ -1452,8 +1205,7 @@ mod tests {
         const HAMMER: usize = 200;
 
         let sack = Sack::independent(DOOR_POLICY).unwrap();
-        // All workers share one task, so they exercise distinct instances
-        // of the same per-CPU cache array.
+        // All workers share one task.
         let ctx = HookCtx::new(
             Pid(4100),
             Credentials::user(100, 100),
@@ -1478,8 +1230,8 @@ mod tests {
                             let _ = sack.file_open(ctx, obj, AccessMask::WRITE);
                         }
                         settled.wait();
-                        // Post-bump probe: round parity says which state the
-                        // completed transition left us in.
+                        // Post-transition probe: round parity says which
+                        // state the completed transition left us in.
                         let emergency = round % 2 == 0;
                         let verdict = sack.file_open(ctx, obj, AccessMask::WRITE);
                         assert_eq!(
@@ -1501,8 +1253,8 @@ mod tests {
                     "rescue_done"
                 };
                 sack.deliver_event(event, Duration::ZERO).unwrap();
-                // deliver_event has returned: the epoch bump is complete
-                // before any worker passes this barrier.
+                // deliver_event has returned: the transition is
+                // published before any worker passes this barrier.
                 settled.wait();
                 probed.wait();
             }

@@ -157,7 +157,7 @@ struct StatsNode {
 /// The exported module counters, in node order, paired with their labels.
 /// One table serves the `stats` node, the Prometheus exposition and the
 /// JSON metrics, so the three can never drift apart.
-fn stat_counters(s: &crate::sack::SackStats) -> [(&'static str, &ShardedCounter); 8] {
+fn stat_counters(s: &crate::sack::SackStats) -> [(&'static str, &ShardedCounter); 6] {
     [
         ("checks", &s.checks),
         ("denials", &s.denials),
@@ -165,8 +165,6 @@ fn stat_counters(s: &crate::sack::SackStats) -> [(&'static str, &ShardedCounter)
         ("overrides", &s.overrides),
         ("events_received", &s.events_received),
         ("events_unknown", &s.events_unknown),
-        ("cache_hits", &s.cache_hits),
-        ("cache_misses", &s.cache_misses),
     ]
 }
 
@@ -174,21 +172,16 @@ impl SecurityFsFile for StatsNode {
     fn read_content(&self, _ctx: &HookCtx) -> KernelResult<Vec<u8>> {
         let sack = upgrade(&self.sack)?;
         let active = sack.active();
-        // One stripe-major fold over every counter instead of eight
-        // independent per-counter folds.
+        // One stripe-major fold over every counter instead of one
+        // independent fold per counter.
         let table = stat_counters(sack.stats());
         let refs: Vec<&ShardedCounter> = table.iter().map(|(_, c)| *c).collect();
         let totals = ShardedCounter::snapshot_all(&refs, Ordering::Relaxed);
         let mut out = String::new();
         for ((name, _), total) in table.iter().zip(&totals) {
-            // `transitions_taken` sorts between the event and cache
-            // counters to keep the historical node layout stable.
-            if *name == "cache_hits" {
-                let _ = writeln!(out, "transitions_taken {}", active.ssm.taken_count());
-            }
             let _ = writeln!(out, "{name} {total}");
         }
-        let _ = writeln!(out, "policy_epoch {}", sack.policy_epoch());
+        let _ = writeln!(out, "transitions_taken {}", active.ssm.taken_count());
         Ok(out.into_bytes())
     }
 
@@ -220,7 +213,7 @@ fn event_plane(sack: &Arc<Sack>) -> KernelResult<Arc<crate::eventplane::EventPla
 
 /// `sds/ring`: batched frame submission into the event plane. One write is
 /// one batch: every line is validated and enqueued, then a single drain
-/// coalesces the whole batch into at most one SSM transition + epoch bump.
+/// coalesces the whole batch into at most one SSM transition.
 /// The synchronous `events` node remains the per-frame slow/compat path.
 struct SdsRingNode {
     sack: Weak<Sack>,
@@ -426,9 +419,6 @@ fn render_prometheus(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
     for ((name, _), total) in table.iter().zip(&totals) {
         let _ = writeln!(out, "sack_stat_total{{counter=\"{name}\"}} {total}");
     }
-    let _ = writeln!(out, "# HELP sack_policy_epoch Current policy epoch.");
-    let _ = writeln!(out, "# TYPE sack_policy_epoch gauge");
-    let _ = writeln!(out, "sack_policy_epoch {}", sack.policy_epoch());
     let _ = writeln!(
         out,
         "# HELP sack_audit_lost_total Audit records evicted unread."
@@ -463,13 +453,8 @@ fn render_prometheus(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         "# HELP sack_hook_latency_ns Hook dispatch latency, nanoseconds."
     );
     let _ = writeln!(out, "# TYPE sack_hook_latency_ns histogram");
-    for (hook, verdict, flag, snap) in tracing.histogram_snapshots() {
-        let labels = format!(
-            "hook=\"{}\",verdict=\"{}\",cache=\"{}\"",
-            hook.name(),
-            verdict.name(),
-            flag.name()
-        );
+    for (hook, verdict, snap) in tracing.histogram_snapshots() {
+        let labels = format!("hook=\"{}\",verdict=\"{}\"", hook.name(), verdict.name());
         let mut cumulative = 0u64;
         for (i, n) in snap.buckets.iter().enumerate() {
             cumulative += n;
@@ -524,7 +509,7 @@ fn render_metrics_json(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         }
         let _ = write!(out, "\"{name}\":{total}");
     }
-    let _ = write!(out, "}},\"policy_epoch\":{},", sack.policy_epoch());
+    out.push_str("},");
     let _ = write!(
         out,
         "\"audit\":{{\"total\":{},\"lost\":{}}},",
@@ -561,17 +546,16 @@ fn render_metrics_json(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         out.push_str("},");
     }
     out.push_str("\"histograms\":[");
-    for (i, (hook, verdict, flag, snap)) in tracing.histogram_snapshots().iter().enumerate() {
+    for (i, (hook, verdict, snap)) in tracing.histogram_snapshots().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\"cache\":\"{}\",\
+            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\
              \"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
             hook.name(),
             verdict.name(),
-            flag.name(),
             snap.count(),
             snap.sum,
             snap.percentile(0.50),
@@ -980,8 +964,7 @@ mod tests {
         assert!(count("hook_enter") > 0);
         assert_eq!(count("hook_enter"), count("hook_exit"));
         assert_eq!(count("ssm_transition"), 1);
-        assert_eq!(count("rcu_epoch_bump"), 1);
-        assert_eq!(count("cache_invalidate"), 1);
+        assert_eq!(count("policy_publish"), 0);
     }
 
     #[test]
@@ -1191,13 +1174,15 @@ mod tests {
                 OpenFlags::write_only(),
             )
             .unwrap();
-        let epoch_before = sack.policy_epoch();
         // The same batch `multiple_events_in_one_write` pushes through the
         // sync path (3 transitions there) publishes exactly once here.
         sds.write(fd, b"crash\nrescue_done\ncrash\n").unwrap();
         assert_eq!(sack.current_state_name(), "emergency");
-        assert_eq!(sack.active().ssm.taken_count(), 1);
-        assert_eq!(sack.policy_epoch(), epoch_before + 1, "one bump per write");
+        assert_eq!(
+            sack.active().ssm.taken_count(),
+            1,
+            "one transition per write"
+        );
         let plane = sack.event_plane().unwrap();
         assert_eq!(plane.submitted(), 3);
         assert_eq!(plane.drained_frames(), 3);

@@ -7,21 +7,15 @@
 //!
 //! * [`SackTracing`] — the metrics recorder. Subscribes to every
 //!   tracepoint, maintains one lock-free [`LatencyHistogram`] per
-//!   (hook, verdict, cache-hit/miss) key, and feeds the flight recorder.
+//!   (hook, verdict) key, and feeds the flight recorder.
 //! * [`FlightRecorder`] — a bounded MPSC ring of the last N control-plane
-//!   events (SSM transitions, policy publishes, epoch bumps, recompiles,
-//!   denials), so a denial can be replayed against the situation history
+//!   events (SSM transitions, policy publishes, recompiles, denials), so a
+//!   denial can be replayed against the situation history
 //!   that led to it. Producers claim slots with a single `fetch_add`;
 //!   entries carry both a global and a per-producer sequence number, and an
 //!   overflow counter says exactly how many records were overwritten.
-//!
-//! Correlating cache events with hook latency: `cache_hit`/`cache_miss`
-//! fire *inside* the hook dispatch that `hook_exit` closes, on the same
-//! thread, so the recorder notes the last cache event in a thread-local and
-//! resolves it when the enclosing `hook_exit` arrives. No cross-thread
-//! state, no allocation on the hot path.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,43 +29,6 @@ use crate::stats::{HistogramSnapshot, LatencyHistogram};
 
 /// Default flight-recorder capacity (records retained).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
-
-/// Whether a hook decision was served by the decision cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheFlag {
-    /// Served from the decision cache.
-    Hit,
-    /// Looked up but evaluated cold.
-    Miss,
-    /// No cache lookup happened (cache disabled, or a hook that never
-    /// consults it).
-    Uncached,
-}
-
-impl CacheFlag {
-    /// Every flag, in dense-index order.
-    pub const ALL: [CacheFlag; 3] = [CacheFlag::Hit, CacheFlag::Miss, CacheFlag::Uncached];
-
-    /// Dense index into [`CacheFlag::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable lowercase label.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheFlag::Hit => "hit",
-            CacheFlag::Miss => "miss",
-            CacheFlag::Uncached => "uncached",
-        }
-    }
-}
-
-impl fmt::Display for CacheFlag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One retained flight-recorder record.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +62,6 @@ static NEXT_PRODUCER: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static PRODUCER_ID: u64 = NEXT_PRODUCER.fetch_add(1, Ordering::Relaxed);
     static PRODUCER_SEQS: RefCell<HashMap<u64, u64>> = RefCell::new(HashMap::new());
-    /// Last cache event seen on this thread: (recorder id, encoded flag).
-    static LAST_CACHE: Cell<(u64, u8)> = const { Cell::new((0, 0)) };
 }
 
 /// Bounded MPSC ring of the last N trace events.
@@ -259,56 +214,32 @@ impl fmt::Debug for FlightRecorder {
 }
 
 const VERDICTS: usize = 2;
-const FLAGS: usize = 3;
-const HIST_KEYS: usize = TraceHook::ALL.len() * VERDICTS * FLAGS;
+const HIST_KEYS: usize = TraceHook::ALL.len() * VERDICTS;
 
 struct RecorderState {
-    id: u64,
     hists: Vec<LatencyHistogram>,
     flight: FlightRecorder,
 }
 
 impl RecorderState {
-    fn hist(&self, hook: TraceHook, verdict: TraceVerdict, flag: CacheFlag) -> &LatencyHistogram {
-        &self.hists[(hook.index() * VERDICTS + verdict.index()) * FLAGS + flag.index()]
+    fn hist(&self, hook: TraceHook, verdict: TraceVerdict) -> &LatencyHistogram {
+        &self.hists[hook.index() * VERDICTS + verdict.index()]
     }
 
     fn on_event(&self, event: &TraceEvent) {
         match event {
-            TraceEvent::HookEnter { .. } => {
-                // New dispatch on this thread: forget any stale cache event.
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 0)));
-            }
-            TraceEvent::CacheHit => {
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 1)));
-            }
-            TraceEvent::CacheMiss => {
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 2)));
-            }
             TraceEvent::HookExit {
                 hook,
                 verdict,
                 latency_ns,
             } => {
-                let flag = LAST_CACHE
-                    .try_with(|c| {
-                        let (id, encoded) = c.replace((self.id, 0));
-                        match (id == self.id, encoded) {
-                            (true, 1) => CacheFlag::Hit,
-                            (true, 2) => CacheFlag::Miss,
-                            _ => CacheFlag::Uncached,
-                        }
-                    })
-                    .unwrap_or(CacheFlag::Uncached);
-                self.hist(*hook, *verdict, flag).record(*latency_ns);
+                self.hist(*hook, *verdict).record(*latency_ns);
                 if *verdict == TraceVerdict::Deny {
                     self.flight.record(event.clone());
                 }
             }
-            TraceEvent::CacheInvalidate { .. }
-            | TraceEvent::SsmTransition { .. }
+            TraceEvent::SsmTransition { .. }
             | TraceEvent::PolicyPublish { .. }
-            | TraceEvent::RcuEpochBump { .. }
             | TraceEvent::ProfileRecompile { .. }
             | TraceEvent::AuditEmit { .. }
             | TraceEvent::SdsDrain { .. }
@@ -321,10 +252,10 @@ impl RecorderState {
             | TraceEvent::FleetRolloutComplete { .. } => {
                 self.flight.record(event.clone());
             }
-            // Per-frame hot path: counted by the hub, never flight-recorded
-            // (at sensor rates it would flush the whole ring between any two
-            // control-plane records).
-            TraceEvent::SdsEnqueue { .. } => {}
+            // Per-dispatch and per-frame hot paths: counted by the hub, never
+            // flight-recorded (at sensor rates an enqueue record would flush
+            // the whole ring between any two control-plane records).
+            TraceEvent::HookEnter { .. } | TraceEvent::SdsEnqueue { .. } => {}
         }
     }
 }
@@ -352,7 +283,6 @@ impl SackTracing {
     /// Attaches a recorder with an explicit flight-recorder capacity.
     pub fn attach_with_flight_capacity(hub: Arc<TraceHub>, capacity: usize) -> Arc<SackTracing> {
         let state = Arc::new(RecorderState {
-            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             hists: (0..HIST_KEYS).map(|_| LatencyHistogram::new()).collect(),
             flight: FlightRecorder::new(capacity),
         });
@@ -395,41 +325,27 @@ impl SackTracing {
         &self.state.flight
     }
 
-    /// Snapshot of one (hook, verdict, cache) histogram.
-    pub fn histogram(
-        &self,
-        hook: TraceHook,
-        verdict: TraceVerdict,
-        flag: CacheFlag,
-    ) -> HistogramSnapshot {
-        self.state.hist(hook, verdict, flag).snapshot()
+    /// Snapshot of one (hook, verdict) histogram.
+    pub fn histogram(&self, hook: TraceHook, verdict: TraceVerdict) -> HistogramSnapshot {
+        self.state.hist(hook, verdict).snapshot()
     }
 
-    /// Merged latency distribution for a hook across verdicts and cache
-    /// outcomes.
+    /// Merged latency distribution for a hook across verdicts.
     pub fn hook_histogram(&self, hook: TraceHook) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for verdict in [TraceVerdict::Allow, TraceVerdict::Deny] {
-            for flag in CacheFlag::ALL {
-                merged.merge(&self.histogram(hook, verdict, flag));
-            }
-        }
+        let mut merged = self.histogram(hook, TraceVerdict::Allow);
+        merged.merge(&self.histogram(hook, TraceVerdict::Deny));
         merged
     }
 
-    /// Every non-empty (hook, verdict, cache) histogram, in dense key
-    /// order — the raw material for the `metrics` node.
-    pub fn histogram_snapshots(
-        &self,
-    ) -> Vec<(TraceHook, TraceVerdict, CacheFlag, HistogramSnapshot)> {
+    /// Every non-empty (hook, verdict) histogram, in dense key order — the
+    /// raw material for the `metrics` node.
+    pub fn histogram_snapshots(&self) -> Vec<(TraceHook, TraceVerdict, HistogramSnapshot)> {
         let mut out = Vec::new();
         for hook in TraceHook::ALL {
             for verdict in [TraceVerdict::Allow, TraceVerdict::Deny] {
-                for flag in CacheFlag::ALL {
-                    let snap = self.histogram(hook, verdict, flag);
-                    if !snap.is_empty() {
-                        out.push((hook, verdict, flag, snap));
-                    }
+                let snap = self.histogram(hook, verdict);
+                if !snap.is_empty() {
+                    out.push((hook, verdict, snap));
                 }
             }
         }
@@ -473,7 +389,7 @@ mod tests {
     fn flight_assigns_dense_global_seqs() {
         let ring = FlightRecorder::new(8);
         for i in 0..5 {
-            assert_eq!(ring.record(TraceEvent::RcuEpochBump { epoch: i }), i);
+            assert_eq!(ring.record(TraceEvent::AuditEmit { seq: i }), i);
         }
         let entries = ring.snapshot();
         assert_eq!(entries.len(), 5);
@@ -488,7 +404,7 @@ mod tests {
     fn flight_wraparound_keeps_newest_and_counts_drops() {
         let ring = FlightRecorder::new(4);
         for i in 0..10 {
-            ring.record(TraceEvent::RcuEpochBump { epoch: i });
+            ring.record(TraceEvent::AuditEmit { seq: i });
         }
         let entries = ring.snapshot();
         assert_eq!(entries.len(), 4, "bounded at capacity");
@@ -510,7 +426,7 @@ mod tests {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
                     for i in 0..50 {
-                        ring.record(TraceEvent::RcuEpochBump { epoch: i });
+                        ring.record(TraceEvent::AuditEmit { seq: i });
                     }
                 })
             })
@@ -562,7 +478,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     for i in 0..PER_PRODUCER as u64 {
-                        ring.record(TraceEvent::RcuEpochBump { epoch: i });
+                        ring.record(TraceEvent::AuditEmit { seq: i });
                     }
                 })
             })
@@ -614,7 +530,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     for i in 0..PER_PRODUCER as u64 {
-                        ring.record(TraceEvent::RcuEpochBump { epoch: i });
+                        ring.record(TraceEvent::AuditEmit { seq: i });
                     }
                 })
             })
@@ -641,7 +557,7 @@ mod tests {
     fn flight_per_producer_drop_ledger_sums_to_global() {
         let ring = FlightRecorder::new(4);
         for i in 0..10 {
-            ring.record(TraceEvent::RcuEpochBump { epoch: i });
+            ring.record(TraceEvent::AuditEmit { seq: i });
         }
         let by = ring.dropped_by_producer();
         assert_eq!(by.len(), 1, "single producer: one ledger entry");
@@ -649,7 +565,7 @@ mod tests {
         assert_eq!(sum, ring.dropped(), "ledger must sum to the global count");
         // A ring that never wraps keeps an empty ledger.
         let quiet = FlightRecorder::new(8);
-        quiet.record(TraceEvent::RcuEpochBump { epoch: 0 });
+        quiet.record(TraceEvent::AuditEmit { seq: 0 });
         assert!(quiet.dropped_by_producer().is_empty());
     }
 
@@ -676,36 +592,29 @@ mod tests {
     }
 
     #[test]
-    fn recorder_keys_histograms_by_cache_flag() {
+    fn recorder_keys_histograms_by_hook_and_verdict() {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
         let hook = TraceHook::FileOpen;
-        // A miss-dispatch then a hit-dispatch then an uncached dispatch.
-        for (cache_ev, ns) in [
-            (Some(TraceEvent::CacheMiss), 800),
-            (Some(TraceEvent::CacheHit), 50),
-            (None, 300),
+        for (verdict, ns) in [
+            (TraceVerdict::Allow, 800),
+            (TraceVerdict::Allow, 50),
+            (TraceVerdict::Deny, 300),
         ] {
             hub.emit(&TraceEvent::HookEnter { hook });
-            if let Some(ev) = cache_ev {
-                hub.emit(&ev);
-            }
             hub.emit(&TraceEvent::HookExit {
                 hook,
-                verdict: TraceVerdict::Allow,
+                verdict,
                 latency_ns: ns,
             });
         }
-        let hit = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Hit);
-        let miss = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Miss);
-        let uncached = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Uncached);
-        assert_eq!(hit.count(), 1);
-        assert_eq!(hit.sum, 50);
-        assert_eq!(miss.count(), 1);
-        assert_eq!(miss.sum, 800);
-        assert_eq!(uncached.count(), 1);
-        assert_eq!(uncached.sum, 300);
+        let allow = tracing.histogram(hook, TraceVerdict::Allow);
+        let deny = tracing.histogram(hook, TraceVerdict::Deny);
+        assert_eq!(allow.count(), 2);
+        assert_eq!(allow.sum, 850);
+        assert_eq!(deny.count(), 1);
+        assert_eq!(deny.sum, 300);
         assert_eq!(tracing.hook_histogram(hook).count(), 3);
     }
 
@@ -766,12 +675,12 @@ mod tests {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
         let text = tracing.render_events();
         assert!(text.starts_with("# tracepoints enabled=1\n"));
         for point in Tracepoint::ALL {
             assert!(text.contains(point.name()), "missing {point}");
         }
-        assert!(text.contains("cache_hit 1\n"));
+        assert!(text.contains("audit_emit 1\n"));
     }
 }

@@ -20,8 +20,6 @@ use crate::aggregator::{FleetAggregator, FleetTick};
 pub enum FleetAlertKind {
     /// Per-tick denial count spiked above the EWMA baseline.
     DenialSpike,
-    /// Decision-cache hit rate collapsed under sustained lookups.
-    HitRateCollapse,
     /// Situation-transition rate exceeded the storm threshold.
     TransitionStorm,
     /// A flight recorder overflowed (records were dropped) this tick.
@@ -33,7 +31,6 @@ impl FleetAlertKind {
     pub fn name(self) -> &'static str {
         match self {
             FleetAlertKind::DenialSpike => "denial_spike",
-            FleetAlertKind::HitRateCollapse => "hit_rate_collapse",
             FleetAlertKind::TransitionStorm => "transition_storm",
             FleetAlertKind::FlightOverflow => "flight_overflow",
         }
@@ -82,10 +79,6 @@ pub struct DetectorConfig {
     pub denial_spike_factor: f64,
     /// Absolute per-tick denial floor below which spikes are ignored.
     pub denial_min: u64,
-    /// Minimum cache lookups per tick before hit rate is judged.
-    pub hit_rate_min_lookups: u64,
-    /// Hit-rate floor; below it [`FleetAlertKind::HitRateCollapse`] fires.
-    pub hit_rate_min: f64,
     /// Per-tick transition count that raises [`FleetAlertKind::TransitionStorm`].
     pub transition_storm: u64,
     /// Flight entries attached to each alert.
@@ -98,8 +91,6 @@ impl Default for DetectorConfig {
             denial_alpha: 0.3,
             denial_spike_factor: 4.0,
             denial_min: 8,
-            hit_rate_min_lookups: 128,
-            hit_rate_min: 0.25,
             transition_storm: 256,
             excerpt_len: 8,
         }
@@ -164,26 +155,6 @@ impl DetectorBank {
                     let updated = self.config.denial_alpha * denials as f64
                         + (1.0 - self.config.denial_alpha) * baseline;
                     self.denial_baseline.insert(cohort.clone(), updated);
-                }
-            }
-
-            // Cache hit-rate collapse under sustained lookups.
-            let hits = delta.cache_hits();
-            let lookups = hits + delta.cache_misses();
-            if lookups >= self.config.hit_rate_min_lookups {
-                let rate = hits as f64 / lookups as f64;
-                if rate < self.config.hit_rate_min {
-                    alerts.push(self.alert(
-                        FleetAlertKind::HitRateCollapse,
-                        cohort,
-                        tick.tick,
-                        format!(
-                            "hit rate {rate:.3} over {lookups} lookups \
-                             (floor {:.3})",
-                            self.config.hit_rate_min
-                        ),
-                        aggregator,
-                    ));
                 }
             }
 

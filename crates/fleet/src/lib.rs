@@ -7,9 +7,9 @@
 //!   their [`TelemetrySnapshot`]s on a tick into per-cohort and fleet
 //!   rollups, and re-exposes everything through a single Prometheus
 //!   endpoint with `instance`/`cohort` labels;
-//! * [`DetectorBank`] streams the per-tick deltas through four anomaly
-//!   detectors — denial-rate spike (EWMA baseline), cache hit-rate
-//!   collapse, transition storm, flight-ring overflow — each raising a
+//! * [`DetectorBank`] streams the per-tick deltas through three anomaly
+//!   detectors — denial-rate spike (EWMA baseline), transition storm,
+//!   flight-ring overflow — each raising a
 //!   typed [`FleetAlert`] with a flight-recorder excerpt;
 //! * [`RolloutDriver`] stages a candidate policy cohort-by-cohort with
 //!   the detectors as the promotion gate: clean soak windows promote,

@@ -19,12 +19,8 @@
 //! |---------------------|--------------------------------------------------------|
 //! | `hook_enter`        | an LSM hook dispatch starts                            |
 //! | `hook_exit`         | an LSM hook dispatch finishes (carries verdict+latency)|
-//! | `cache_hit`         | a decision-cache lookup hits                           |
-//! | `cache_miss`        | a decision-cache lookup misses                         |
-//! | `cache_invalidate`  | the policy epoch bump invalidates all cached decisions |
 //! | `ssm_transition`    | the situation state machine changes state              |
 //! | `policy_publish`    | a new `ActivePolicy` is published over RCU             |
-//! | `rcu_epoch_bump`    | the global policy epoch counter is incremented         |
 //! | `profile_recompile` | an AppArmor profile is (re)compiled to its DFA         |
 //! | `audit_emit`        | a record is appended to the audit ring                 |
 //! | `sds_enqueue`       | a sensor frame is enqueued into the submission ring    |
@@ -177,18 +173,10 @@ pub enum Tracepoint {
     HookEnter,
     /// LSM hook dispatch exit (verdict + latency).
     HookExit,
-    /// Decision-cache hit.
-    CacheHit,
-    /// Decision-cache miss.
-    CacheMiss,
-    /// Epoch bump invalidated all cached decisions.
-    CacheInvalidate,
     /// Situation state machine transition.
     SsmTransition,
     /// New active policy published.
     PolicyPublish,
-    /// Policy epoch counter bumped.
-    RcuEpochBump,
     /// AppArmor profile (re)compiled.
     ProfileRecompile,
     /// Audit record appended.
@@ -215,15 +203,11 @@ pub enum Tracepoint {
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 19] = [
+    pub const ALL: [Tracepoint; 15] = [
         Tracepoint::HookEnter,
         Tracepoint::HookExit,
-        Tracepoint::CacheHit,
-        Tracepoint::CacheMiss,
-        Tracepoint::CacheInvalidate,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
-        Tracepoint::RcuEpochBump,
         Tracepoint::ProfileRecompile,
         Tracepoint::AuditEmit,
         Tracepoint::SdsEnqueue,
@@ -247,12 +231,8 @@ impl Tracepoint {
         match self {
             Tracepoint::HookEnter => "hook_enter",
             Tracepoint::HookExit => "hook_exit",
-            Tracepoint::CacheHit => "cache_hit",
-            Tracepoint::CacheMiss => "cache_miss",
-            Tracepoint::CacheInvalidate => "cache_invalidate",
             Tracepoint::SsmTransition => "ssm_transition",
             Tracepoint::PolicyPublish => "policy_publish",
-            Tracepoint::RcuEpochBump => "rcu_epoch_bump",
             Tracepoint::ProfileRecompile => "profile_recompile",
             Tracepoint::AuditEmit => "audit_emit",
             Tracepoint::SdsEnqueue => "sds_enqueue",
@@ -276,7 +256,7 @@ impl fmt::Display for Tracepoint {
 
 /// A single trace event, the payload delivered to registered callbacks.
 ///
-/// Hot-path variants (`HookEnter`, `HookExit`, cache events) carry only
+/// Hot-path variants (`HookEnter`, `HookExit`, `SdsEnqueue`) carry only
 /// `Copy` data; rare control-plane variants own their strings so the flight
 /// recorder can retain them without lifetimes.
 #[derive(Debug, Clone, PartialEq)]
@@ -295,18 +275,6 @@ pub enum TraceEvent {
         /// Wall-clock nanoseconds spent in the stacked modules.
         latency_ns: u64,
     },
-    /// A decision-cache lookup hit.
-    CacheHit,
-    /// A decision-cache lookup missed.
-    CacheMiss,
-    /// The policy epoch bump invalidated every cached decision.
-    ///
-    /// Fires exactly **once per epoch bump**, never per cache slot — the
-    /// interleaving model in `sack-analyze` proves this.
-    CacheInvalidate {
-        /// The new epoch value.
-        epoch: u64,
-    },
     /// The situation state machine transitioned.
     SsmTransition {
         /// Source state name.
@@ -318,13 +286,8 @@ pub enum TraceEvent {
     },
     /// A new active policy was published over RCU.
     PolicyPublish {
-        /// The epoch value after the publish's bump.
-        epoch: u64,
-    },
-    /// The global policy epoch counter was incremented.
-    RcuEpochBump {
-        /// The new epoch value.
-        epoch: u64,
+        /// The published snapshot's process-unique load generation.
+        generation: u64,
     },
     /// An AppArmor profile was (re)compiled to its unified DFA.
     ProfileRecompile {
@@ -420,12 +383,8 @@ impl TraceEvent {
         match self {
             TraceEvent::HookEnter { .. } => Tracepoint::HookEnter,
             TraceEvent::HookExit { .. } => Tracepoint::HookExit,
-            TraceEvent::CacheHit => Tracepoint::CacheHit,
-            TraceEvent::CacheMiss => Tracepoint::CacheMiss,
-            TraceEvent::CacheInvalidate { .. } => Tracepoint::CacheInvalidate,
             TraceEvent::SsmTransition { .. } => Tracepoint::SsmTransition,
             TraceEvent::PolicyPublish { .. } => Tracepoint::PolicyPublish,
-            TraceEvent::RcuEpochBump { .. } => Tracepoint::RcuEpochBump,
             TraceEvent::ProfileRecompile { .. } => Tracepoint::ProfileRecompile,
             TraceEvent::AuditEmit { .. } => Tracepoint::AuditEmit,
             TraceEvent::SdsEnqueue { .. } => Tracepoint::SdsEnqueue,
@@ -450,16 +409,12 @@ impl fmt::Display for TraceEvent {
                 verdict,
                 latency_ns,
             } => write!(f, "hook_exit hook={hook} verdict={verdict} ns={latency_ns}"),
-            TraceEvent::CacheHit => f.write_str("cache_hit"),
-            TraceEvent::CacheMiss => f.write_str("cache_miss"),
-            TraceEvent::CacheInvalidate { epoch } => {
-                write!(f, "cache_invalidate epoch={epoch}")
-            }
             TraceEvent::SsmTransition { from, to, event } => {
                 write!(f, "ssm_transition from={from} to={to} event={event}")
             }
-            TraceEvent::PolicyPublish { epoch } => write!(f, "policy_publish epoch={epoch}"),
-            TraceEvent::RcuEpochBump { epoch } => write!(f, "rcu_epoch_bump epoch={epoch}"),
+            TraceEvent::PolicyPublish { generation } => {
+                write!(f, "policy_publish generation={generation}")
+            }
             TraceEvent::ProfileRecompile {
                 profile,
                 full_rebuild,
@@ -552,7 +507,7 @@ struct CallbackEntry {
 ///
 /// let hub = TraceHub::new();
 /// if hub.enabled() {
-///     hub.emit(&TraceEvent::CacheHit); // never reached while disabled
+///     hub.emit(&TraceEvent::AuditEmit { seq: 0 }); // never reached while disabled
 /// }
 /// ```
 pub struct TraceHub {
@@ -665,9 +620,9 @@ mod tests {
         hub.register_all(Arc::new(move |_| {
             s.fetch_add(1, Ordering::Relaxed);
         }));
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
         assert_eq!(seen.load(Ordering::Relaxed), 0);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 0);
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 0);
     }
 
     #[test]
@@ -677,15 +632,18 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         hub.register_all(Arc::new(move |ev| l.lock().unwrap().push(ev.clone())));
-        hub.emit(&TraceEvent::CacheMiss);
-        hub.emit(&TraceEvent::RcuEpochBump { epoch: 7 });
+        hub.emit(&TraceEvent::AuditEmit { seq: 3 });
+        hub.emit(&TraceEvent::PolicyPublish { generation: 7 });
         let log = log.lock().unwrap();
         assert_eq!(
             *log,
-            vec![TraceEvent::CacheMiss, TraceEvent::RcuEpochBump { epoch: 7 }]
+            vec![
+                TraceEvent::AuditEmit { seq: 3 },
+                TraceEvent::PolicyPublish { generation: 7 }
+            ]
         );
-        assert_eq!(hub.fired(Tracepoint::CacheMiss), 1);
-        assert_eq!(hub.fired(Tracepoint::RcuEpochBump), 1);
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 1);
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 1);
         assert_eq!(hub.fired_total(), 2);
     }
 
@@ -696,16 +654,16 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
         let handle = hub.register(
-            Tracepoint::CacheHit,
+            Tracepoint::AuditEmit,
             Arc::new(move |_| {
                 h.fetch_add(1, Ordering::Relaxed);
             }),
         );
-        hub.emit(&TraceEvent::CacheHit);
-        hub.emit(&TraceEvent::CacheMiss); // filtered out
+        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
+        hub.emit(&TraceEvent::PolicyPublish { generation: 1 }); // filtered out
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         hub.unregister(handle);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         assert_eq!(hub.callback_count(), 0);
     }
@@ -724,11 +682,11 @@ mod tests {
     #[test]
     fn toggling_gates_counters() {
         let hub = TraceHub::new();
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         hub.set_enabled(false);
-        hub.emit(&TraceEvent::CacheHit);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 1);
+        hub.emit(&TraceEvent::AuditEmit { seq: 2 });
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Contended SMP sweep runner (DESIGN.md §9): p50/p90/p99 hook latency and
-//! aggregate throughput per thread count for warm-cache, DFA-cold, and
-//! reload-racing hooks.
+//! aggregate throughput per thread count for the plain hook and for hooks
+//! racing policy reloads.
 //!
 //! Usage:
 //!   cargo run --release -p sack-lmbench --example contended_sweep -- \
@@ -9,6 +9,8 @@
 //! Prints the human table, then machine-readable `smp_meta` / `smp_point` /
 //! `smp_efficiency` lines for `scripts/bench_gate.sh`. With `--json PATH`,
 //! also writes the `smp` block spliced into `BENCH_hook_latency.json`.
+//! Thread counts above the host's available parallelism get no
+//! `smp_efficiency` line and no `scaling_efficiency` field.
 
 use sack_lmbench::{
     render_contended_sweep, run_contended_sweep, ContendedScenario, ContendedSweep,
@@ -89,7 +91,7 @@ fn smp_json(sweep: &ContendedSweep, max_threads: usize) -> String {
     let counts: Vec<String> = sweep
         .points
         .iter()
-        .filter(|p| p.scenario == ContendedScenario::WarmCache)
+        .filter(|p| p.scenario == ContendedScenario::Hook)
         .map(|p| p.threads.to_string())
         .collect();
     out.push_str(&format!(
@@ -104,16 +106,22 @@ fn smp_json(sweep: &ContendedSweep, max_threads: usize) -> String {
     out.push_str("    \"scenarios\": {\n");
     for (si, scenario) in ContendedScenario::ALL.into_iter().enumerate() {
         out.push_str(&format!("      \"{}\": {{\n", scenario.json_key()));
-        for point in sweep.points.iter().filter(|p| p.scenario == scenario) {
-            out.push_str(&format!(
-                "        \"t{}\": {{ \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"ops_per_sec\": {:.1} }},\n",
-                point.threads, point.p50_ns, point.p90_ns, point.p99_ns, point.ops_per_sec
-            ));
+        let mut fields: Vec<String> = sweep
+            .points
+            .iter()
+            .filter(|p| p.scenario == scenario)
+            .map(|point| {
+                format!(
+                    "        \"t{}\": {{ \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"ops_per_sec\": {:.1} }}",
+                    point.threads, point.p50_ns, point.p90_ns, point.p99_ns, point.ops_per_sec
+                )
+            })
+            .collect();
+        if let Some(efficiency) = sweep.efficiency(scenario, max_threads) {
+            fields.push(format!("        \"scaling_efficiency\": {efficiency:.3}"));
         }
-        let efficiency = sweep.efficiency(scenario, max_threads).unwrap_or(0.0);
-        out.push_str(&format!(
-            "        \"scaling_efficiency\": {efficiency:.3}\n"
-        ));
+        out.push_str(&fields.join(",\n"));
+        out.push('\n');
         let comma = if si + 1 < ContendedScenario::ALL.len() {
             ","
         } else {

@@ -133,8 +133,8 @@ pub fn render_sweep(title: &str, param_name: &str, points: &[(String, f64)]) -> 
 
 /// Renders the contended SMP sweep (DESIGN.md §9): one block per scenario,
 /// one row per thread count, with p50/p90/p99 per-hook latency, aggregate
-/// throughput, and scaling efficiency normalised to
-/// `min(threads, available_parallelism)`.
+/// throughput, and scaling efficiency (`-` where the thread count exceeds
+/// the host's available parallelism).
 pub fn render_contended_sweep(sweep: &ContendedSweep) -> String {
     let mut out = String::new();
     let _ = writeln!(

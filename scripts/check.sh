@@ -13,7 +13,8 @@
 #                                   sync::shim seam (keeps the executor's
 #                                   coverage from rotting)
 #   6. sack-analyze sched --smoke — bounded deterministic-schedule
-#                                   exploration of the real Rcu/cache code:
+#                                   exploration of the real Rcu, ring and
+#                                   lazy-slot code:
 #                                   core scenarios pass, every planted
 #                                   mutation is caught with a printed
 #                                   counterexample, model conformance holds
@@ -41,22 +42,30 @@
 #                                 — 3-cohort promote + rollback rollouts
 #                                   with alert lints and a validated
 #                                   fleet Prometheus endpoint
-#  13. scripts/bench_gate.sh      — the hook-latency performance gate,
-#                                   including the ≤MAX_TRACE_OVERHEAD
+#  13. sackbench self-check       — builds the end-to-end benchmark against
+#                                   the current crates and runs its tests,
+#                                   so an API change that breaks it fails
+#                                   here rather than in the benchmark run
+#  14. scripts/bench_gate.sh      — the hook-latency performance gate:
+#                                   the DFA hook p50 ≤MAX_HOOK_P50_NS
+#                                   (the pre-removal warm-cache median),
+#                                   the ≤MAX_TRACE_OVERHEAD
 #                                   disabled-tracepoint observer gate, the
-#                                   ≥MIN_SMP_EFFICIENCY scaling gate, the
+#                                   ≥MIN_SMP_EFFICIENCY scaling gate
+#                                   (skipped when the host has fewer cores
+#                                   than threads), the
 #                                   ≥MIN_SDS_SPEEDUP batched-ingestion
 #                                   gate, the ≤MAX_FLEET_WARM_IMPACT
 #                                   scrape-impact gate and the
 #                                   parallel-compile / cold-attach reload
 #                                   gates
-#  14. validate_bench_json.py     — BENCH_hook_latency.json schema check
+#  15. validate_bench_json.py     — BENCH_hook_latency.json schema check
 #                                   (all gate keys present, ratios finite)
 #
 # Usage: scripts/check.sh [--no-bench] [--sanitize]
 #   --no-bench  skip the benchmark gate (useful on loaded machines where
 #               timing gates are noisy; the functional gates still run).
-#   --sanitize  additionally run the sync/cache/smp tests under
+#   --sanitize  additionally run the sync/smp tests under
 #               ThreadSanitizer (requires a nightly toolchain with
 #               rust-src; skipped with a notice when unavailable).
 #
@@ -126,8 +135,11 @@ cargo run --release --offline -p sack-lmbench --example fleet_sweep -- --smoke
 step "sack-analyze fleet --self-check"
 ./target/release/sack-analyze fleet --self-check
 
+step "sackbench build + self-check"
+cargo test --release --offline --manifest-path sackbench/Cargo.toml
+
 if [[ "$RUN_SANITIZE" == 1 ]]; then
-    step "ThreadSanitizer lane (sync/cache/smp tests)"
+    step "ThreadSanitizer lane (sync/smp tests)"
     if rustup run nightly rustc --version >/dev/null 2>&1 \
         && rustup component list --toolchain nightly 2>/dev/null \
             | grep -q "rust-src.*(installed)"; then
@@ -135,9 +147,6 @@ if [[ "$RUN_SANITIZE" == 1 ]]; then
         RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
             -p sack-kernel --lib sync:: smp:: -- --test-threads=1
-        RUSTFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
-            -p sack-core --lib cache:: -- --test-threads=1
     else
         echo "tsan lane skipped: nightly toolchain with rust-src not available"
     fi

@@ -8,8 +8,11 @@ catches a malformed splice before it is committed. Checks:
   * the file parses as JSON;
   * every section the gate writes is present;
   * the gate block records every threshold the gate script enforces;
-  * the smp block has every scenario with per-thread-count percentiles
-    and a scaling_efficiency;
+  * the working_set_64 block records the pre-removal warm-cache median
+    and the DFA hook p50 satisfies the gate's max_hook_p50_ns;
+  * the smp block has every scenario with per-thread-count percentiles,
+    and a scaling_efficiency exactly when available_parallelism covers
+    max_threads;
   * the sds block has a point per swept rate plus the two values the
     gate checks (speedup_at_100k, warm_impact), and each recorded value
     satisfies the threshold the gate block records for it;
@@ -47,8 +50,7 @@ TOP_LEVEL_KEYS = [
 
 # Must match the thresholds scripts/bench_gate.sh enforces.
 GATE_KEYS = [
-    "min_speedup",
-    "min_hit_rate",
+    "max_hook_p50_ns",
     "min_dfa_speedup_1k",
     "max_dfa_degradation",
     "min_aa_dfa_speedup",
@@ -62,7 +64,14 @@ GATE_KEYS = [
     "max_fleet_warm_impact",
 ]
 
-SMP_SCENARIOS = ["warm_cache", "dfa_cold", "reload_racing"]
+SMP_SCENARIOS = ["hook", "reload_racing"]
+
+WORKING_SET_KEYS = [
+    "dfa_median_ns",
+    "scan_median_ns",
+    "dfa_speedup",
+    "pre_removal_warm_cache_median_ns",
+]
 SMP_POINT_KEYS = ["p50_ns", "p90_ns", "p99_ns", "ops_per_sec"]
 
 SDS_POINT_KEYS = ["batch", "sync_eps", "batched_eps", "speedup"]
@@ -112,6 +121,19 @@ def validate(doc):
         if key not in gate:
             problems.append(f"gate block missing threshold {key!r}")
 
+    wset = doc.get("working_set_64", {})
+    if wset:
+        for key in WORKING_SET_KEYS:
+            if key not in wset:
+                problems.append(f"working_set_64 block missing {key!r}")
+        p50 = wset.get("dfa_median_ns")
+        max_p50 = gate.get("max_hook_p50_ns")
+        if isinstance(p50, (int, float)) and isinstance(max_p50, (int, float)):
+            if p50 > max_p50:
+                problems.append(
+                    f"working_set_64.dfa_median_ns {p50} violates gate.max_hook_p50_ns {max_p50}"
+                )
+
     smp = doc.get("smp", {})
     if smp:
         for key in ["available_parallelism", "thread_counts", "iters_per_thread", "max_threads"]:
@@ -126,8 +148,16 @@ def validate(doc):
             if block is None:
                 problems.append(f"smp.scenarios missing {name!r}")
                 continue
-            if "scaling_efficiency" not in block:
+            # A scaling ratio is only meaningful when every thread can run
+            # on its own core; the sweep omits it otherwise.
+            parallel = smp.get("available_parallelism", 0) >= smp.get("max_threads", 0)
+            if parallel and "scaling_efficiency" not in block:
                 problems.append(f"smp.scenarios.{name} missing scaling_efficiency")
+            if not parallel and "scaling_efficiency" in block:
+                problems.append(
+                    f"smp.scenarios.{name} records scaling_efficiency on an "
+                    f"oversubscribed host (available_parallelism < max_threads)"
+                )
             for t in threads:
                 point = block.get(f"t{t}")
                 if point is None:

@@ -21,7 +21,6 @@ use sack_vehicle::car::CarHardware;
 use sack_vehicle::policies::VEHICLE_SACK_POLICY;
 
 struct LiveWorld {
-    #[allow(dead_code)] // keeps the kernel alive for the UserContext handles
     kernel: Arc<Kernel>,
     sack: Arc<Sack>,
     rescue: UserContext,
@@ -85,13 +84,38 @@ fn live_attempt(proc: &UserContext, path: &str, perms: FilePerms) -> bool {
     }
 }
 
+/// The vehicle policy with `SET_VOLUME_FREE` moved from parking to
+/// driving: reloading it mid-walk flips the audio verdicts, so a verdict
+/// that survived the reload would show up as a divergence.
+fn reloaded_vehicle_policy() -> String {
+    VEHICLE_SACK_POLICY
+        .replace("driving: NORMAL;", "driving: NORMAL, SET_VOLUME_FREE;")
+        .replace(
+            "parking_with_driver: NORMAL, SET_VOLUME_FREE;",
+            "parking_with_driver: NORMAL;",
+        )
+}
+
+/// One step of the matrix walk.
+enum Step {
+    /// A situation event delivered to both systems.
+    Event(&'static str),
+    /// A SACKfs `policy` write; the simulator restarts from the new text.
+    Reload,
+}
+
 #[test]
 fn simulator_matches_live_kernel_over_the_whole_matrix() {
     let world = live_world();
-    let sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
+    let mut sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
+    let reloaded = reloaded_vehicle_policy();
+    let admin = world.kernel.spawn(Credentials::root());
 
-    // Walk both systems through the same event sequence, checking the
-    // matrix in every state along the way.
+    // Walk both systems through the same events and one reload, checking
+    // the matrix in every state along the way. The subjects are
+    // long-lived processes, and every (subject, path, perms) is probed
+    // twice in a row, so a repeated access by the same pid right after a
+    // transition or reload must match the simulator too.
     let subjects: [(&str, &UserContext); 2] = [
         ("/usr/bin/rescue_daemon", &world.rescue),
         ("/usr/bin/media_app", &world.media),
@@ -103,11 +127,14 @@ fn simulator_matches_live_kernel_over_the_whole_matrix() {
         ("/dev/car/audio", FilePerms::WRITE),
     ];
     let walk = [
-        "start_driving",
-        "crash",
-        "emergency_resolved",
-        "driver_left",
-        "driver_entered",
+        Step::Event("start_driving"),
+        Step::Event("crash"),
+        Step::Reload,
+        Step::Event("start_driving"),
+        Step::Event("crash"),
+        Step::Event("emergency_resolved"),
+        Step::Event("driver_left"),
+        Step::Event("driver_entered"),
     ];
 
     let mut checked = 0;
@@ -120,28 +147,46 @@ fn simulator_matches_live_kernel_over_the_whole_matrix() {
                     StepResult::Decision { allowed, .. } => allowed,
                     other => panic!("unexpected {other:?}"),
                 };
-                let actual = live_attempt(proc, path, *perms);
-                assert_eq!(
-                    expected,
-                    actual,
-                    "divergence: state={} exe={exe} path={path} perms={perms}",
-                    sim.state()
-                );
-                checked += 1;
+                for attempt in 0..2 {
+                    let actual = live_attempt(proc, path, *perms);
+                    assert_eq!(
+                        expected,
+                        actual,
+                        "divergence: state={} exe={exe} path={path} perms={perms} \
+                         attempt={attempt}",
+                        sim.state()
+                    );
+                    checked += 1;
+                }
             }
         }
     };
 
     check_state(&sim);
-    for event in walk {
-        sim.deliver(event);
-        world
-            .sack
-            .deliver_event(event, std::time::Duration::ZERO)
-            .unwrap();
+    for step in &walk {
+        match step {
+            Step::Event(event) => {
+                sim.deliver(event);
+                world
+                    .sack
+                    .deliver_event(event, std::time::Duration::ZERO)
+                    .unwrap();
+            }
+            Step::Reload => {
+                let fd = admin
+                    .open("/sys/kernel/security/SACK/policy", OpenFlags::write_only())
+                    .unwrap();
+                admin.write(fd, reloaded.as_bytes()).unwrap();
+                admin.close(fd).unwrap();
+                sim = PolicySimulator::new(&reloaded).unwrap();
+            }
+        }
         check_state(&sim);
     }
-    assert_eq!(checked, 6 * subjects.len() * probes.len());
+    assert_eq!(
+        checked,
+        (walk.len() + 1) * subjects.len() * probes.len() * 2
+    );
 }
 
 #[test]

@@ -2,18 +2,18 @@
 //! stack while the control plane races them with situation transitions,
 //! policy reloads, and AppArmor profile replacements.
 //!
-//! The properties pinned down here are the ones the per-CPU decision
-//! caches must not break:
+//! The properties pinned down here are the ones the lock-free hook path
+//! must not break:
 //!
 //! * **No stale grant** — a decision whose verdict is identical in every
 //!   state is never spuriously denied (and vice versa) no matter how the
-//!   epoch churns mid-flight;
-//! * **Exactly-once invalidation** — `rcu_epoch_bump` and
-//!   `cache_invalidate` fire once per epoch bump, never once per cache
-//!   instance;
-//! * **Audit exactly-once** — with negative caching on, a replayed denial
-//!   increments the counter but is audited at most once per cache
-//!   instance, while the denial counter stays exact;
+//!   published policy churns mid-flight;
+//! * **Exactly-once publication** — `ssm_transition` fires once per
+//!   transition the control plane made and `policy_publish` once per
+//!   reload, matching the state machines' own `transitions_taken`;
+//! * **Every denial audited** — N workers × M denied probes racing
+//!   situation transitions produce exactly N×M denials, N×M audit records
+//!   and N×M `audit_emit` firings;
 //! * **Serial equivalence** — after the storm quiesces, verdicts match a
 //!   freshly-built twin that never saw any concurrency.
 
@@ -79,14 +79,15 @@ fn drive_to_state(sack: &Sack, target: usize) {
 fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     let policy = synthetic_racing_policy(STATES, 32);
     let sack = Sack::independent(&policy).unwrap();
-    sack.set_negative_cache_enabled(true);
     let hub = TraceHub::new();
     sack.install_tracing(Arc::clone(&hub));
     hub.set_enabled(true);
 
     let transitions = AtomicU64::new(0);
     let reloads = AtomicU64::new(0);
-    let epoch_before = sack.policy_epoch();
+    // `transitions_taken` restarts with every reloaded state machine, so
+    // the control plane banks each retiring machine's count first.
+    let taken_before_reload = AtomicU64::new(0);
 
     const HAMMER: usize = 600;
     let outcome = smp::run_with_control(
@@ -111,6 +112,7 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
         },
         |round| {
             if round % 3 == 0 {
+                taken_before_reload.fetch_add(sack.active().ssm.taken_count(), Ordering::Relaxed);
                 sack.reload_policy(&policy).unwrap();
                 reloads.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -133,18 +135,25 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     for (w, (shared_ok, _)) in outcome.results.iter().enumerate() {
         assert_eq!(
             *shared_ok, HAMMER,
-            "worker {w}: /shared verdict flipped during epoch churn"
+            "worker {w}: /shared verdict flipped during policy churn"
         );
     }
     assert!(outcome.control_rounds >= 1);
 
-    // The control plane is the only epoch source: one bump per transition
-    // plus one per reload, and the tracepoints fired exactly once per bump
-    // — never once per cache instance.
-    let bumps = transitions.load(Ordering::Relaxed) + reloads.load(Ordering::Relaxed);
-    assert_eq!(sack.policy_epoch() - epoch_before, bumps);
-    assert_eq!(hub.fired(Tracepoint::RcuEpochBump), sack.policy_epoch());
-    assert_eq!(hub.fired(Tracepoint::CacheInvalidate), sack.policy_epoch());
+    // The control plane is the only source of transitions and reloads:
+    // each fires its tracepoint exactly once, and the state machines
+    // counted the same transitions the control thread made.
+    let made = transitions.load(Ordering::Relaxed);
+    let taken = taken_before_reload.load(Ordering::Relaxed) + sack.active().ssm.taken_count();
+    assert_eq!(
+        taken, made,
+        "transitions_taken vs control-plane transitions"
+    );
+    assert_eq!(hub.fired(Tracepoint::SsmTransition), made);
+    assert_eq!(
+        hub.fired(Tracepoint::PolicyPublish),
+        reloads.load(Ordering::Relaxed)
+    );
 
     // Quiesced: walk the ring and compare every per-state verdict against
     // a twin that was built serially and never raced anything.
@@ -173,54 +182,54 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     }
 }
 
-/// Audit exactly-once under concurrency: every worker replays the same
-/// denied decision hundreds of times. The denial counter must count every
-/// refusal; the audit log must record the decision at most once per cache
-/// instance (each worker warms its own per-CPU instance), not once per
-/// refusal.
+/// Every denial audited under concurrency: every worker probes a path
+/// that is protected but denied in every state (no state grants `ioctl`)
+/// while the control plane walks the situation ring. Each refusal must be
+/// counted, audited and traced exactly once: N workers × M probes give
+/// N×M denials, N×M audit records and N×M `audit_emit` firings.
 #[test]
-fn denial_storm_counts_every_refusal_but_audits_at_most_once_per_instance() {
-    let sack = Sack::independent(&synthetic_independent_policy(2, 8)).unwrap();
-    sack.set_negative_cache_enabled(true);
+fn denial_storm_racing_transitions_audits_every_refusal() {
+    let sack = Sack::independent(&synthetic_independent_policy(STATES, 8)).unwrap();
+    let hub = TraceHub::new();
+    sack.install_tracing(Arc::clone(&hub));
+    hub.set_enabled(true);
 
-    // In the initial state s0, the s1 rules do not apply, but the path is
-    // still in the protected set: a guaranteed denial in every round.
     const DENIED: &str = "/protected/area0/s1/dev";
-    let ctx = probe_ctx(7100, BENCH_EXE);
-    assert!(!open(&*sack, &ctx, DENIED, AccessMask::WRITE));
-
-    let denials_before = sack.stats().denials.load(Ordering::SeqCst);
-    let audits_before = sack.audit().total();
+    let ioctl = |ctx: &HookCtx| {
+        let path = KPath::new(DENIED).unwrap();
+        sack.file_ioctl(ctx, &ObjectRef::regular(&path), 0).is_err()
+    };
 
     const HAMMER: usize = 500;
-    let denied: usize = smp::run_workers(WORKERS, |w| {
-        let ctx = probe_ctx(7100, BENCH_EXE);
-        let mut denied = 0usize;
-        for _ in 0..HAMMER {
-            if !open(&*sack, &ctx, DENIED, AccessMask::WRITE) {
-                denied += 1;
-            }
-        }
-        assert_eq!(denied, HAMMER, "worker {w}: denial verdict flipped");
-        denied
-    })
-    .into_iter()
-    .sum();
+    let outcome = smp::run_with_control(
+        WORKERS,
+        |w| {
+            let ctx = probe_ctx(7100 + w as u32, BENCH_EXE);
+            let denied = (0..HAMMER).filter(|_| ioctl(&ctx)).count();
+            assert_eq!(denied, HAMMER, "worker {w}: denial verdict flipped");
+            denied
+        },
+        |_round| {
+            let here: usize = sack
+                .current_state_name()
+                .strip_prefix('s')
+                .and_then(|s| s.parse().ok())
+                .unwrap();
+            sack.deliver_event(&format!("goto_s{}", (here + 1) % STATES), Duration::ZERO)
+                .unwrap();
+        },
+    );
+    assert!(outcome.control_rounds >= 1);
 
-    assert_eq!(denied, WORKERS * HAMMER);
-    // Exact refusal accounting...
+    let expected = (WORKERS * HAMMER) as u64;
+    assert_eq!(outcome.results.iter().sum::<usize>() as u64, expected);
+    assert_eq!(sack.stats().denials.load(Ordering::SeqCst), expected);
     assert_eq!(
-        sack.stats().denials.load(Ordering::SeqCst) - denials_before,
-        (WORKERS * HAMMER) as u64
+        sack.audit().total(),
+        expected,
+        "one audit record per denial"
     );
-    // ...but at most one audit record per per-CPU cache instance: each
-    // worker's first miss may audit before the negative entry lands in its
-    // instance; every later round replays the cached denial silently.
-    let audit_delta = sack.audit().total() - audits_before;
-    assert!(
-        audit_delta <= WORKERS as u64,
-        "audit storm: {audit_delta} records for one decision across {WORKERS} workers"
-    );
+    assert_eq!(hub.fired(Tracepoint::AuditEmit), expected);
 }
 
 /// Lazy compilation under storm: the profile database installs every
