@@ -5,19 +5,21 @@
 //! many rules the profile holds. This module does the same for our glob
 //! dialect: [`DfaBuilder`] collects rule globs (each tagged with a caller
 //! chosen `u32`), builds a combined position NFA re-using the token
-//! semantics of [`crate::glob`], determinizes it by subset construction
-//! over a compressed byte alphabet, and minimizes the result with Moore's
-//! partition refinement. Accepting states are annotated at *build time* by
-//! folding the set of matching rule tags into a caller-defined annotation
-//! (e.g. a [`crate::matcher::RuleDecision`] union, or a first-match type
-//! label for TE), so evaluation is a single O(|path|) table walk with the
-//! rule resolution already baked in.
+//! semantics of [`crate::glob`], and determinizes it by subset construction
+//! over a compressed byte alphabet into [`Subsets`]: the unminimized table
+//! plus every state's set of accepting tags. [`Subsets::annotate`] then
+//! folds each tag set into a caller-defined annotation (e.g. a
+//! [`crate::matcher::RuleDecision`] union, or a first-match type label for
+//! TE) and minimizes with Moore's partition refinement, so evaluation is a
+//! single O(|path|) table walk with the rule resolution already baked in.
+//! One determinization can feed several annotations and the tag-set
+//! language questions the policy lints ask.
 //!
 //! The annotation fold runs during construction only; [`Dfa::eval`] never
 //! allocates and touches one `u32` table cell per input byte.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use crate::glob::{token_matches, Glob, Token};
@@ -163,7 +165,64 @@ pub struct DfaStats {
     pub classes: usize,
 }
 
-/// Accumulates tagged globs and compiles them into a single [`Dfa`].
+/// Multiplicative word hasher (the `FxHash` scheme) for the subset index
+/// and the Moore signature map, whose keys are runs of small integers that
+/// SipHash would spend a large share of a compile on. The keys come from
+/// policy text the loader already trusts to size the machine, so flooding
+/// resistance buys nothing here.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+type MulMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// Successor of an accepting NFA position: it consumes nothing.
+const ACCEPT: u32 = u32::MAX;
+
+/// What one NFA position does on input: every byte class in
+/// `pool[first..end]` moves it to `target` ([`ACCEPT`] for accepting
+/// positions, which have no classes).
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    first: u32,
+    end: u32,
+    target: u32,
+}
+
+/// Accumulates tagged globs and determinizes them into [`Subsets`], from
+/// which every annotated [`Dfa`] over those globs is folded.
 #[derive(Debug, Default)]
 pub struct DfaBuilder {
     /// Flattened NFA positions; `Some(tok)` consumes input, `None` accepts.
@@ -200,57 +259,76 @@ impl DfaBuilder {
         self.starts.is_empty()
     }
 
-    /// Epsilon closure: a wildcard position may be skipped, so position `i`
-    /// implies `i + 1`. Keeps the set sorted and deduplicated (the set is
-    /// the subset-construction hash key).
-    fn close(&self, set: &mut Vec<u32>) {
-        let mut i = 0;
-        while i < set.len() {
-            let p = set[i] as usize;
-            if matches!(
-                self.positions[p],
+    /// Epsilon closure of a sorted position list into `out`: a wildcard
+    /// position may be skipped, so position `i` implies `i + 1`. One pass
+    /// keeps `out` sorted and deduplicated (it is the subset index key):
+    /// closure chains run upwards, and an input position at or below the
+    /// last emitted one was already emitted together with its chain.
+    fn close(&self, set: &[u32], out: &mut Vec<u32>) {
+        out.clear();
+        for &p in set {
+            if out.last().is_some_and(|&last| p <= last) {
+                continue;
+            }
+            let mut q = p;
+            out.push(q);
+            while matches!(
+                self.positions[q as usize],
                 Some(Token::Star) | Some(Token::DoubleStar)
             ) {
-                let next = set[i] + 1;
-                if !set.contains(&next) {
-                    set.push(next);
-                }
-            }
-            i += 1;
-        }
-        set.sort_unstable();
-        set.dedup();
-    }
-
-    /// One NFA step on `byte`: wildcards self-loop (a `*` only off `/`),
-    /// consuming tokens advance — exactly the transition relation of
-    /// `glob::Nfa::step`.
-    fn step(&self, set: &[u32], byte: u8) -> Vec<u32> {
-        let mut out = Vec::with_capacity(set.len());
-        for &p in set {
-            match &self.positions[p as usize] {
-                None => {}
-                Some(Token::Star) if byte != b'/' => out.push(p),
-                Some(Token::Star) => {}
-                Some(Token::DoubleStar) => out.push(p),
-                Some(tok) if token_matches(tok, byte) => out.push(p + 1),
-                Some(_) => {}
+                q += 1;
+                out.push(q);
             }
         }
-        self.close(&mut out);
-        out
     }
 
-    /// Sorted, deduplicated tags of the accepting positions in `set`.
-    fn accepting_tags(&self, set: &[u32]) -> Vec<u32> {
-        let mut tags: Vec<u32> = set
+    /// Each position's byte classes and successor — the transition
+    /// relation of `glob::Nfa::step` per class: wildcards self-loop (a `*`
+    /// only off `/`), consuming tokens advance. Class lists live in one
+    /// pool whose head is `0..class_count`, so a literal's single class and
+    /// the all-class `**` list are slices of it.
+    fn moves(&self, alphabet: &Alphabet) -> (Vec<Move>, Vec<u16>) {
+        let class_count = alphabet.class_count;
+        let mut pool: Vec<u16> = (0..class_count as u16).collect();
+        let slash = alphabet.class_of(b'/');
+        let off_slash = (
+            pool.len() as u32,
+            pool.len() as u32 + class_count as u32 - 1,
+        );
+        pool.extend((0..class_count as u16).filter(|&c| c != slash));
+        // One representative byte per class, for testing classes and ranges.
+        let mut rep = vec![0u8; class_count];
+        for b in (0..=255u8).rev() {
+            rep[alphabet.class_of(b) as usize] = b;
+        }
+        let moves = self
+            .positions
             .iter()
-            .filter(|&&p| self.positions[p as usize].is_none())
-            .map(|&p| self.tag_of[p as usize])
+            .enumerate()
+            .map(|(p, pos)| {
+                let next = p as u32 + 1;
+                let (first, end, target) = match pos {
+                    None => (0, 0, ACCEPT),
+                    Some(Token::DoubleStar) => (0, class_count as u32, p as u32),
+                    Some(Token::Star) => (off_slash.0, off_slash.1, p as u32),
+                    Some(Token::AnyChar) => (off_slash.0, off_slash.1, next),
+                    Some(Token::Lit(b)) => {
+                        let class = u32::from(alphabet.class_of(*b));
+                        (class, class + 1, next)
+                    }
+                    Some(tok) => {
+                        let first = pool.len() as u32;
+                        pool.extend(
+                            (0..class_count as u16)
+                                .filter(|&c| token_matches(tok, rep[c as usize])),
+                        );
+                        (first, pool.len() as u32, next)
+                    }
+                };
+                Move { first, end, target }
+            })
             .collect();
-        tags.sort_unstable();
-        tags.dedup();
-        tags
+        (moves, pool)
     }
 
     /// The distinct discriminating tokens of the accumulated globs.
@@ -283,107 +361,198 @@ impl DfaBuilder {
         self.build_with_alphabet(&Arc::new(self.alphabet()), fold)
     }
 
-    /// [`DfaBuilder::build`] against a caller-supplied shared alphabet.
+    /// [`DfaBuilder::build`] against a caller-supplied shared alphabet:
+    /// [`DfaBuilder::determinize`], then [`Subsets::annotate`].
+    pub fn build_with_alphabet<A, F>(&self, alphabet: &Arc<Alphabet>, fold: F) -> Dfa<A>
+    where
+        A: Clone + Eq + Hash,
+        F: Fn(&[u32]) -> A,
+    {
+        self.determinize(alphabet).annotate(fold)
+    }
+
+    /// Runs the subset construction over `alphabet`, leaving annotation
+    /// and minimization to [`Subsets::annotate`] so several folds (and the
+    /// policy lints, which read [`Subsets::tag_sets`]) can share one
+    /// determinization.
     ///
     /// The alphabet must refine this machine's own partition — i.e. built
     /// from a superset of its globs, or from a partition that
     /// [`Alphabet::would_split`] reports as not split by them. A finer
     /// partition only adds redundant columns; it never changes the language
     /// or the annotations.
-    pub fn build_with_alphabet<A, F>(&self, alphabet: &Arc<Alphabet>, fold: F) -> Dfa<A>
-    where
-        A: Clone + Eq + Hash,
-        F: Fn(&[u32]) -> A,
-    {
+    ///
+    /// Each state is one pass over its position set into per-class
+    /// buckets. A class whose bucket equals the previous class's bucket
+    /// reuses that successor without closing or hashing it again, which
+    /// makes the many classes of a `**` state cost one lookup.
+    pub fn determinize(&self, alphabet: &Arc<Alphabet>) -> Subsets {
         debug_assert!(
             !alphabet.tokens_would_split(&self.discriminating_tokens()),
             "shared alphabet is coarser than this machine's tokens require"
         );
         let class_count = alphabet.class_count;
-        // One representative byte per class, for stepping the NFA.
-        let mut rep = vec![0u8; class_count];
-        for b in (0..=255u8).rev() {
-            rep[alphabet.classes[b as usize] as usize] = b;
-        }
+        let (moves, pool) = self.moves(alphabet);
 
-        let mut start_set: Vec<u32> = self.starts.clone();
-        self.close(&mut start_set);
-
-        let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut sets: Vec<Vec<u32>> = Vec::new();
-        index.insert(start_set.clone(), 0);
-        sets.push(start_set);
+        let mut start = Vec::new();
+        self.close(&self.starts, &mut start);
+        let mut index: MulMap<Vec<u32>, u32> = MulMap::default();
+        index.insert(start.clone(), 0);
+        // Position sets by state id; each is taken once its state is done.
+        let mut sets: Vec<Vec<u32>> = vec![start];
 
         let mut table: Vec<u32> = Vec::new();
-        let mut accepts: Vec<A> = Vec::new();
+        let mut tag_start: Vec<u32> = vec![0];
+        let mut tags: Vec<u32> = Vec::new();
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); class_count];
+        let mut closed: Vec<u32> = Vec::new();
+        let mut accepting: Vec<u32> = Vec::new();
 
         let mut next = 0usize;
         while next < sets.len() {
-            let set = sets[next].clone();
-            accepts.push(fold(&self.accepting_tags(&set)));
-            for &rep_byte in &rep {
-                let out = self.step(&set, rep_byte);
-                if out.is_empty() {
-                    table.push(DEAD);
-                    continue;
+            let set = std::mem::take(&mut sets[next]);
+            next += 1;
+            accepting.clear();
+            // `set` is sorted and every target is `p` or `p + 1`, so each
+            // bucket fills in non-decreasing order, as `close` requires.
+            for &p in &set {
+                let m = moves[p as usize];
+                if m.target == ACCEPT {
+                    accepting.push(self.tag_of[p as usize]);
                 }
-                let id = match index.get(&out) {
-                    Some(&id) => id,
-                    None => {
-                        let id = sets.len() as u32;
-                        index.insert(out.clone(), id);
-                        sets.push(out);
-                        id
+                for &class in &pool[m.first as usize..m.end as usize] {
+                    buckets[class as usize].push(m.target);
+                }
+            }
+            accepting.sort_unstable();
+            accepting.dedup();
+            tags.extend_from_slice(&accepting);
+            tag_start.push(tags.len() as u32);
+
+            for class in 0..class_count {
+                let id = if buckets[class].is_empty() {
+                    DEAD
+                } else if class > 0 && buckets[class] == buckets[class - 1] {
+                    *table.last().expect("previous class")
+                } else {
+                    self.close(&buckets[class], &mut closed);
+                    match index.get(closed.as_slice()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = sets.len() as u32;
+                            index.insert(closed.clone(), id);
+                            sets.push(closed.clone());
+                            id
+                        }
                     }
                 };
                 table.push(id);
             }
-            next += 1;
+            for bucket in &mut buckets {
+                bucket.clear();
+            }
         }
 
-        let empty = fold(&[]);
-        let dfa = Dfa {
+        Subsets {
             alphabet: Arc::clone(alphabet),
             table,
-            accepts,
-            start: 0,
-            empty,
-        };
-        minimize(dfa)
+            tag_start,
+            tags,
+        }
+    }
+}
+
+/// The unminimized subset construction of a [`DfaBuilder`]'s globs: the
+/// transition table plus each state's sorted accepting-tag set. One
+/// determinization serves any number of annotations
+/// ([`Subsets::annotate`]) and the language questions the tag sets answer
+/// ([`Subsets::tag_sets`]).
+#[derive(Debug, Clone)]
+pub struct Subsets {
+    alphabet: Arc<Alphabet>,
+    /// `table[state * class_count + class]` → next state or [`DEAD`];
+    /// state 0 is the start.
+    table: Vec<u32>,
+    /// State `s` accepts `tags[tag_start[s]..tag_start[s + 1]]`.
+    tag_start: Vec<u32>,
+    tags: Vec<u32>,
+}
+
+impl Subsets {
+    /// Number of (unminimized) states.
+    pub fn state_count(&self) -> usize {
+        self.tag_start.len() - 1
+    }
+
+    fn tags_of(&self, state: usize) -> &[u32] {
+        &self.tags[self.tag_start[state] as usize..self.tag_start[state + 1] as usize]
+    }
+
+    /// Every state's sorted, deduplicated accepting-tag set (empty for
+    /// non-accepting states). Every state is reachable, so this turns
+    /// language questions into set questions: glob `b` is *covered* by
+    /// glob `a` iff every set containing `b`'s tag also contains `a`'s,
+    /// and two globs *overlap* iff some set contains both tags.
+    pub fn tag_sets(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.state_count()).map(|state| self.tags_of(state))
+    }
+
+    /// Folds every state's tag set into an annotation and minimizes.
+    /// `fold(&[])` is the annotation of non-accepting (and dead) states.
+    pub fn annotate<A, F>(&self, fold: F) -> Dfa<A>
+    where
+        A: Clone + Eq + Hash,
+        F: Fn(&[u32]) -> A,
+    {
+        let accepts = self.tag_sets().map(&fold).collect();
+        minimize(&self.alphabet, &self.table, accepts, fold(&[]))
     }
 }
 
 /// Moore partition refinement: start from blocks of annotation-equal
 /// states, split until transition structure agrees, then rebuild the table
 /// over blocks. Language and annotations are preserved exactly.
-fn minimize<A: Clone + Eq + Hash>(dfa: Dfa<A>) -> Dfa<A> {
-    let n = dfa.accepts.len();
-    let c = dfa.alphabet.class_count;
+fn minimize<A: Clone + Eq + Hash>(
+    alphabet: &Arc<Alphabet>,
+    table: &[u32],
+    accepts: Vec<A>,
+    empty: A,
+) -> Dfa<A> {
+    let n = accepts.len();
+    let c = alphabet.class_count;
 
     let mut block: Vec<u32> = Vec::with_capacity(n);
-    let mut annot_ids: HashMap<&A, u32> = HashMap::new();
-    for a in &dfa.accepts {
+    let mut annot_ids: MulMap<&A, u32> = MulMap::default();
+    for a in &accepts {
         let next = annot_ids.len() as u32;
         block.push(*annot_ids.entry(a).or_insert(next));
     }
     let mut block_count = annot_ids.len();
 
+    // A state's signature: its block, then its successors' blocks.
+    let mut sig: Vec<u32> = Vec::with_capacity(c + 1);
     loop {
-        let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
+        let mut sig_ids: MulMap<Vec<u32>, u32> = MulMap::default();
         let mut next_block = Vec::with_capacity(n);
         for s in 0..n {
-            let sig: Vec<u32> = (0..c)
-                .map(|cl| {
-                    let t = dfa.table[s * c + cl];
-                    if t == DEAD {
-                        DEAD
-                    } else {
-                        block[t as usize]
-                    }
-                })
-                .collect();
-            let next = sig_ids.len() as u32;
-            next_block.push(*sig_ids.entry((block[s], sig)).or_insert(next));
+            sig.clear();
+            sig.push(block[s]);
+            sig.extend(table[s * c..(s + 1) * c].iter().map(|&t| {
+                if t == DEAD {
+                    DEAD
+                } else {
+                    block[t as usize]
+                }
+            }));
+            let id = match sig_ids.get(sig.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = sig_ids.len() as u32;
+                    sig_ids.insert(sig.clone(), id);
+                    id
+                }
+            };
+            next_block.push(id);
         }
         let next_count = sig_ids.len();
         block = next_block;
@@ -393,28 +562,28 @@ fn minimize<A: Clone + Eq + Hash>(dfa: Dfa<A>) -> Dfa<A> {
         block_count = next_count;
     }
 
-    let mut table = vec![DEAD; block_count * c];
-    let mut accepts: Vec<Option<A>> = vec![None; block_count];
-    for s in 0..n {
+    let mut min_table = vec![DEAD; block_count * c];
+    let mut min_accepts: Vec<Option<A>> = vec![None; block_count];
+    for (s, annot) in accepts.into_iter().enumerate() {
         let b = block[s] as usize;
-        if accepts[b].is_none() {
-            accepts[b] = Some(dfa.accepts[s].clone());
+        if min_accepts[b].is_none() {
+            min_accepts[b] = Some(annot);
             for cl in 0..c {
-                let t = dfa.table[s * c + cl];
-                table[b * c + cl] = if t == DEAD { DEAD } else { block[t as usize] };
+                let t = table[s * c + cl];
+                min_table[b * c + cl] = if t == DEAD { DEAD } else { block[t as usize] };
             }
         }
     }
 
     Dfa {
-        alphabet: dfa.alphabet,
-        table,
-        accepts: accepts
+        alphabet: Arc::clone(alphabet),
+        table: min_table,
+        accepts: min_accepts
             .into_iter()
             .map(|a| a.expect("block member"))
             .collect(),
-        start: block[dfa.start as usize],
-        empty: dfa.empty,
+        start: block[0],
+        empty,
     }
 }
 
@@ -460,15 +629,6 @@ impl<A> Dfa<A> {
     /// The no-match annotation (`fold(&[])`).
     pub fn empty_annotation(&self) -> &A {
         &self.empty
-    }
-
-    /// Iterates over every reachable state's annotation. With a fold that
-    /// preserves the tag sets this turns language questions into set
-    /// questions: glob `b` is *covered* by glob `a` iff every annotation
-    /// containing `b`'s tag also contains `a`'s, and two globs *overlap*
-    /// iff some annotation contains both tags.
-    pub fn annotations(&self) -> impl Iterator<Item = &A> {
-        self.accepts.iter()
     }
 
     /// Number of minimized states.
@@ -572,6 +732,67 @@ mod tests {
         assert_eq!(*dfa.eval("/sys/kernel"), 4);
         assert_eq!(*dfa.eval("/proc/1"), 0);
         assert_eq!(*dfa.empty_annotation(), 0);
+    }
+
+    #[test]
+    fn one_determinization_serves_every_annotation() {
+        let mut b = DfaBuilder::new();
+        b.add_glob(&Glob::compile("/dev/**").unwrap(), 1);
+        b.add_glob(&Glob::compile("/dev/door*").unwrap(), 2);
+        b.add_glob(&Glob::compile("/sys/{a,b}[0-3]").unwrap(), 4);
+        let subsets = b.determinize(&Arc::new(b.alphabet()));
+        let sum = subsets.annotate(|tags| tags.iter().sum::<u32>());
+        let any = subsets.annotate(|tags| !tags.is_empty());
+        let direct_sum = b.build(|tags| tags.iter().sum::<u32>());
+        for text in [
+            "/dev/door0",
+            "/dev/audio",
+            "/sys/a2",
+            "/sys/b4",
+            "/proc/1",
+            "",
+        ] {
+            assert_eq!(sum.eval(text), direct_sum.eval(text), "text `{text}`");
+            assert_eq!(*any.eval(text), *sum.eval(text) != 0, "text `{text}`");
+        }
+        assert_eq!(sum.state_count(), direct_sum.state_count());
+        assert!(Arc::ptr_eq(sum.alphabet(), any.alphabet()));
+    }
+
+    #[test]
+    fn tag_sets_are_sorted_and_answer_cover_and_overlap() {
+        let mut b = DfaBuilder::new();
+        b.add_glob(&Glob::compile("/dev/door*").unwrap(), 3);
+        b.add_glob(&Glob::compile("/dev/**").unwrap(), 1);
+        b.add_glob(&Glob::compile("/sys/*").unwrap(), 2);
+        let subsets = b.determinize(&Arc::new(b.alphabet()));
+        let sets: Vec<&[u32]> = subsets.tag_sets().collect();
+        assert_eq!(sets.len(), subsets.state_count());
+        assert!(sets.iter().all(|set| set.windows(2).all(|w| w[0] < w[1])));
+        // `/dev/**` covers `/dev/door*`: every set holding 3 holds 1.
+        assert!(sets
+            .iter()
+            .filter(|s| s.contains(&3))
+            .all(|s| s.contains(&1)));
+        assert!(sets.contains(&&[1, 3][..]));
+        // `/sys/*` overlaps neither.
+        assert!(!sets.iter().any(|s| s.contains(&2) && s.len() > 1));
+    }
+
+    #[test]
+    fn double_star_state_has_one_successor_for_every_class() {
+        // After `/a/` the only live position is the `**` loop: every class
+        // reaches the same state, so the machine stays tiny however many
+        // classes the alphabet has.
+        let wide = Glob::compile("/x{b,c,d,e,f,g}[h-k]?").unwrap();
+        let glob = Glob::compile("/a/**").unwrap();
+        let alphabet = Arc::new(Alphabet::for_globs([&wide, &glob]));
+        assert!(alphabet.class_count() > 8);
+        let mut b = DfaBuilder::new();
+        b.add_glob(&glob, 0);
+        let subsets = b.determinize(&alphabet);
+        // start, `/`, `/a`, `/a/` (the `**` loop).
+        assert_eq!(subsets.state_count(), 4);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod pipeline;
 pub mod policy;
 pub mod profile;
 
-pub use dfa::{Alphabet, Dfa, DfaBuilder, DfaStats};
+pub use dfa::{Alphabet, Dfa, DfaBuilder, DfaStats, Subsets};
 pub use glob::Glob;
 pub use logprof::Suggestions;
 pub use matcher::{CompiledRules, RuleDecision, SharedDfa};

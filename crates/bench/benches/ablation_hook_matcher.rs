@@ -1,7 +1,9 @@
 //! **Ablation (DESIGN.md §5.3, §7)** — the SACK hook path two ways on the
 //! same policy: the unified per-state DFA walk production runs, and the
 //! linear scan (protected-set match + per-state rule walk) it replaced,
-//! plus a 100/1k/10k rule-count sweep pitting the two against each other.
+//! plus a 100/1k/10k rule-count sweep pitting the two against each other,
+//! and the same sweep over what building those tables costs: one
+//! `SackPolicy::compile` per rule count.
 //!
 //! Drives the LSM hooks directly with a fabricated [`HookCtx`] so the
 //! numbers isolate the module's decision cost from VFS bookkeeping.
@@ -127,10 +129,29 @@ fn bench_rule_sweep(c: &mut Criterion) {
     }
 }
 
+/// Policy compile cost as the rule count grows 100 → 1k → 10k: checker,
+/// rule lints, the one shared subset construction and every state's
+/// table, on the pre-parsed policy the hook sweep loads. The gate bounds
+/// the 10k/1k growth ratio. Names (`compileNrules`) cannot collide under
+/// the gate's substring matching.
+fn bench_policy_compile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy_compile");
+    for rules in [100usize, 1_000, 10_000] {
+        let policy = SackPolicy::parse(&synthetic_independent_policy(STATES, rules)).unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("compile{rules}rules")),
+            &policy,
+            |b, p| b.iter(|| p.compile().unwrap()),
+        );
+    }
+    group.finish();
+}
+
 fn bench_hook_matcher(c: &mut Criterion) {
     bench_single_path(c);
     bench_working_set(c);
     bench_rule_sweep(c);
+    bench_policy_compile(c);
 }
 
 fn config_criterion() -> Criterion {

@@ -19,9 +19,10 @@ use std::fmt;
 
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::FilePerms;
-use sack_apparmor::DfaBuilder;
+use sack_apparmor::Subsets;
 
 use crate::rules::RuleEffect;
+use crate::statedfa::ObjectGlobs;
 
 use super::{RuleSpec, SackPolicy, SubjectSpec};
 
@@ -273,6 +274,51 @@ fn subjects_overlap(a: &SubjectSpec, b: &SubjectSpec) -> bool {
 
 /// Validates a policy AST, returning every detected issue.
 pub fn check_policy(policy: &SackPolicy) -> Vec<PolicyIssue> {
+    check_and_determinize(policy).0
+}
+
+/// Every rule's object glob id and the one subset construction over the
+/// policy's distinct object globs: what the rule lints read, handed on to
+/// `SackPolicy::compile` so its per-state tables fold the same result.
+pub(crate) struct PolicyGlobs {
+    /// `ids[block][rule]` is the glob id of `policy.per_rules[block].1[rule]`.
+    pub(crate) ids: Vec<Vec<u32>>,
+    /// Number of distinct object globs (glob ids are `0..count`).
+    count: usize,
+    pub(crate) subsets: Subsets,
+}
+
+impl PolicyGlobs {
+    /// Interns and determinizes every rule's object glob. Runs only on a
+    /// policy the checker found error-free, so every glob compiles.
+    fn determinize(policy: &SackPolicy) -> PolicyGlobs {
+        let mut objects = ObjectGlobs::default();
+        let ids = policy
+            .per_rules
+            .iter()
+            .map(|(_, specs)| {
+                specs
+                    .iter()
+                    .map(|spec| {
+                        objects
+                            .intern(&Glob::compile(&spec.object).expect("checker validated rule"))
+                    })
+                    .collect()
+            })
+            .collect();
+        PolicyGlobs {
+            ids,
+            count: objects.len(),
+            subsets: objects.determinize(),
+        }
+    }
+}
+
+/// [`check_policy`], also returning the determinization the rule lints
+/// ran on. `None` when an error stopped the checker before the lints.
+pub(crate) fn check_and_determinize(
+    policy: &SackPolicy,
+) -> (Vec<PolicyIssue>, Option<PolicyGlobs>) {
     let mut issues = Vec::new();
 
     // --- States: duplicates in names and encodings -----------------------
@@ -457,12 +503,13 @@ pub fn check_policy(policy: &SackPolicy) -> Vec<PolicyIssue> {
     }
 
     // --- Deep lints (only when the policy is well-formed so far) ----------------
-    if issues.iter().all(|i| i.severity != IssueSeverity::Error) {
-        lint_state_machine(policy, &mut issues);
-        lint_rules(policy, &mut issues);
+    if issues.iter().any(|i| i.severity == IssueSeverity::Error) {
+        return (issues, None);
     }
-
-    issues
+    lint_state_machine(policy, &mut issues);
+    let globs = PolicyGlobs::determinize(policy);
+    lint_rules(policy, &globs, &mut issues);
+    (issues, Some(globs))
 }
 
 /// States reachable from the initial state via declared transitions.
@@ -553,70 +600,72 @@ fn lint_state_machine(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
 /// MAC-rule lints: shadowed rules and overlapping allow/deny conflicts.
 ///
 /// Both lints reason about glob *languages* (`covers`, `overlaps`), but
-/// instead of the quadratic pairwise NFA procedures they build one tagged
-/// DFA per question and read the answers off the accepting-state tag sets
-/// (`Dfa::annotations`): glob `b` is covered by glob `a` iff every tag
-/// set containing `b` also contains `a`, and two globs overlap iff some
-/// tag set contains both. This keeps policy load near-linear in the rule
-/// count where the pairwise checks took minutes beyond ~1k rules.
-fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
-    // Pre-compile object globs; rules that fail to compile were already
-    // reported as errors and this pass does not run.
-    let compiled: HashMap<(usize, usize), (Glob, FilePerms)> = policy
+/// instead of the quadratic pairwise NFA procedures they read the answers
+/// off the accepting glob-id sets of the policy's one subset construction
+/// ([`Subsets::tag_sets`]): glob `b` is covered by glob `a` iff every set
+/// containing `b` also contains `a`, and two globs overlap iff some set
+/// contains both. Maps from glob id to rules turn those glob facts into
+/// rule findings, so policy load stays near-linear in the rule count
+/// where the pairwise checks took minutes beyond ~1k rules.
+fn lint_rules(policy: &SackPolicy, globs: &PolicyGlobs, issues: &mut Vec<PolicyIssue>) {
+    // Rules whose perms fail to parse were already reported as errors and
+    // this pass does not run.
+    let perms: Vec<Vec<FilePerms>> = policy
         .per_rules
         .iter()
-        .enumerate()
-        .flat_map(|(pi, (_, rules))| {
-            rules.iter().enumerate().filter_map(move |(ri, spec)| {
-                let glob = Glob::compile(&spec.object).ok()?;
-                let perms = FilePerms::parse(&spec.perms).ok()?;
-                Some(((pi, ri), (glob, perms)))
-            })
+        .map(|(_, rules)| {
+            rules
+                .iter()
+                .map(|spec| FilePerms::parse(&spec.perms).expect("checker validated rule"))
+                .collect()
         })
         .collect();
 
+    // coverers[g] = glob ids present in every accepting set holding g,
+    // i.e. the globs covering glob g. `None` means glob g matches no path
+    // at all (trivially covered by anything).
+    let mut coverers: Vec<Option<Vec<u32>>> = vec![None; globs.count];
+    for set in globs.subsets.tag_sets() {
+        for &g in set {
+            match &mut coverers[g as usize] {
+                slot @ None => *slot = Some(set.to_vec()),
+                Some(cur) => cur.retain(|t| set.binary_search(t).is_ok()),
+            }
+        }
+    }
+
     // Shadowing: within one permission block, a later rule subsumed by an
-    // earlier rule with the same effect never changes the outcome.
+    // earlier rule with the same effect never changes the outcome. Only
+    // earlier rules whose glob covers the later one's are candidates,
+    // tried in rule order; the first that shadows is reported.
+    let mut candidates: Vec<usize> = Vec::new();
     for (pi, (perm, rules)) in policy.per_rules.iter().enumerate() {
         if rules.len() < 2 {
             continue;
         }
-        let mut builder = DfaBuilder::new();
-        for ri in 0..rules.len() {
-            if let Some((glob, _)) = compiled.get(&(pi, ri)) {
-                builder.add_glob(glob, ri as u32);
-            }
-        }
-        let dfa = builder.build(|tags| tags.to_vec());
-        // coverers[ri] = tags present in every accepting set holding ri,
-        // i.e. the rules whose globs cover rule ri's glob. `None` means
-        // rule ri matches no path at all (trivially covered by anything).
-        let mut coverers: Vec<Option<Vec<u32>>> = vec![None; rules.len()];
-        for set in dfa.annotations() {
-            for &tag in set {
-                match &mut coverers[tag as usize] {
-                    slot @ None => *slot = Some(set.clone()),
-                    Some(cur) => cur.retain(|t| set.binary_search(t).is_ok()),
-                }
-            }
+        let ids = &globs.ids[pi];
+        let mut rules_of: HashMap<u32, Vec<usize>> = HashMap::new();
+        for (ri, &g) in ids.iter().enumerate() {
+            rules_of.entry(g).or_default().push(ri);
         }
         for ri in 1..rules.len() {
-            let Some((_, later_perms)) = compiled.get(&(pi, ri)) else {
-                continue;
-            };
+            candidates.clear();
+            match &coverers[ids[ri] as usize] {
+                Some(cover) => {
+                    for g in cover {
+                        let earlier = rules_of.get(g).map_or(&[][..], Vec::as_slice);
+                        candidates.extend(earlier.iter().take_while(|&&ei| ei < ri));
+                    }
+                    candidates.sort_unstable();
+                }
+                None => candidates.extend(0..ri),
+            }
             let later = &rules[ri];
-            for (ei, earlier) in rules.iter().enumerate().take(ri) {
-                let Some((_, earlier_perms)) = compiled.get(&(pi, ei)) else {
-                    continue;
-                };
-                let covers = match &coverers[ri] {
-                    Some(set) => set.binary_search(&(ei as u32)).is_ok(),
-                    None => true,
-                };
-                if covers
-                    && earlier.effect == later.effect
+            for &ei in &candidates {
+                let earlier = &rules[ei];
+                if earlier.effect == later.effect
                     && subject_covers(&earlier.subject, &later.subject)
-                    && earlier_perms.contains(*later_perms)
+                    && perms[pi][ei].contains(perms[pi][ri])
                 {
                     issues.push(
                         PolicyIssue::warning(
@@ -653,34 +702,45 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
                 .map(move |(ri, spec)| (pi, perm.as_str(), ri, spec))
         })
         .collect();
-    // One DFA over every rule glob, tagged by global rule index; a mixed
-    // allow/deny tag set pins an overlapping pair.
-    let mut builder = DfaBuilder::new();
-    for (gi, &(pa, _, ra, _)) in all_rules.iter().enumerate() {
-        if let Some((glob, _)) = compiled.get(&(pa, ra)) {
-            builder.add_glob(glob, gi as u32);
+    // Global rule indexes by glob id, split by effect.
+    let mut allows_of: Vec<Vec<u32>> = vec![Vec::new(); globs.count];
+    let mut denies_of: Vec<Vec<u32>> = vec![Vec::new(); globs.count];
+    for (gi, &(pi, _, ri, spec)) in all_rules.iter().enumerate() {
+        let g = globs.ids[pi][ri] as usize;
+        match spec.effect {
+            RuleEffect::Allow => allows_of[g].push(gi as u32),
+            RuleEffect::Deny => denies_of[g].push(gi as u32),
         }
     }
-    let dfa = builder.build(|tags| tags.to_vec());
-    let mut overlapping: HashSet<(u32, u32)> = HashSet::new();
-    for set in dfa.annotations() {
-        if set.len() < 2 {
-            continue;
-        }
-        let (mut allows, mut denies) = (Vec::new(), Vec::new());
-        for &tag in set {
-            match all_rules[tag as usize].3.effect {
-                RuleEffect::Allow => allows.push(tag),
-                RuleEffect::Deny => denies.push(tag),
+    // A set holding a glob with an allow rule and a glob with a deny rule
+    // (possibly the same glob) pins every such rule pair as overlapping.
+    let mut glob_pairs: HashSet<(u32, u32)> = HashSet::new();
+    let (mut allow_globs, mut deny_globs) = (Vec::new(), Vec::new());
+    for set in globs.subsets.tag_sets() {
+        allow_globs.clear();
+        deny_globs.clear();
+        for &g in set {
+            if !allows_of[g as usize].is_empty() {
+                allow_globs.push(g);
+            }
+            if !denies_of[g as usize].is_empty() {
+                deny_globs.push(g);
             }
         }
-        for &a in &allows {
-            for &d in &denies {
-                overlapping.insert((a.min(d), a.max(d)));
+        for &a in &allow_globs {
+            for &d in &deny_globs {
+                glob_pairs.insert((a, d));
             }
         }
     }
-    let mut overlapping: Vec<(u32, u32)> = overlapping.into_iter().collect();
+    let mut overlapping: Vec<(u32, u32)> = Vec::new();
+    for (a, d) in glob_pairs {
+        for &i in &allows_of[a as usize] {
+            for &j in &denies_of[d as usize] {
+                overlapping.push((i.min(j), i.max(j)));
+            }
+        }
+    }
     overlapping.sort_unstable();
     for (i, j) in overlapping {
         let (pa, perm_a, ra, rule_a) = all_rules[i as usize];
@@ -702,12 +762,8 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
         if !coactive {
             continue;
         }
-        let (Some((_, perms_a)), Some((_, perms_b))) =
-            (compiled.get(&(pa, ra)), compiled.get(&(pb, rb)))
-        else {
-            continue;
-        };
-        if perms_a.intersects(*perms_b) && subjects_overlap(&rule_a.subject, &rule_b.subject) {
+        let (perms_a, perms_b) = (perms[pa][ra], perms[pb][rb]);
+        if perms_a.intersects(perms_b) && subjects_overlap(&rule_a.subject, &rule_b.subject) {
             let (allow, deny) = match rule_a.effect {
                 RuleEffect::Allow => ((perm_a, rule_a), (perm_b, rule_b)),
                 RuleEffect::Deny => ((perm_b, rule_b), (perm_a, rule_a)),

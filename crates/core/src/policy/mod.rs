@@ -163,10 +163,11 @@ impl SackPolicy {
     /// [`IssueSeverity::Error`]. Warnings are attached to the compiled
     /// policy instead.
     pub fn compile(&self) -> Result<CompiledPolicy, Vec<PolicyIssue>> {
-        let issues = check_policy(self);
+        let (issues, globs) = check::check_and_determinize(self);
         if issues.iter().any(|i| i.severity == IssueSeverity::Error) {
             return Err(issues);
         }
+        let globs = globs.expect("the rule lints ran on an error-free policy");
         let warnings = issues;
 
         let mut space = StateSpace::new();
@@ -227,12 +228,15 @@ impl SackPolicy {
             }
         }
 
-        // g: permission -> MAC rules
+        // g: permission -> MAC rules, each with its object's glob id in
+        // the shared subset construction.
         let mut perm_rules: Vec<Vec<MacRule>> = vec![Vec::new(); permissions.len()];
-        for (perm, specs) in &self.per_rules {
+        let mut perm_globs: Vec<Vec<u32>> = vec![Vec::new(); permissions.len()];
+        for ((perm, specs), ids) in self.per_rules.iter().zip(&globs.ids) {
             let pid = perm_id(perm);
-            for spec in specs {
+            for (spec, &id) in specs.iter().zip(ids) {
                 perm_rules[pid.0].push(compile_rule(spec).expect("checker validated rule"));
+                perm_globs[pid.0].push(id);
             }
         }
 
@@ -252,48 +256,32 @@ impl SackPolicy {
                 .flat_map(|rules| rules.iter().map(|r| &r.object)),
         );
 
-        // Unified per-state DFA tables: every state's rules plus the
-        // whole policy's object globs (the protected-set markers) merged
-        // into one minimized matcher, rebuilt from scratch at every
-        // compile so a reload can never serve stale tables. All states
-        // share one byte-class alphabet: the marker set already spans every
-        // object glob of the policy, so the union partition fits each state
-        // exactly and the 256-byte class table is built once, not per state.
-        let shared_alphabet = Arc::new(sack_apparmor::dfa::Alphabet::for_globs(
-            perm_rules
-                .iter()
-                .flat_map(|rules| rules.iter().map(|r| &r.object)),
-        ));
-        // States granting the same permission set compile to the same
-        // table: build each distinct set once — across the bounded worker
-        // pool, safe because the shared alphabet is fixed above — and
+        // Unified per-state DFA tables, each folded out of the one subset
+        // construction the rule lints already ran over the policy's
+        // distinct object globs, so every state shares its byte-class
+        // alphabet. Rebuilt from scratch at every compile so a reload can
+        // never serve stale tables. States granting the same permission
+        // set compile to the same table: fold each distinct set once and
         // share the `Arc` among the states mapping to it.
         let mut slot_of: Vec<usize> = Vec::with_capacity(state_perms.len());
-        let mut distinct: Vec<&Vec<PermissionId>> = Vec::new();
+        let mut built: Vec<Arc<StateDfa>> = Vec::new();
         let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
         for perms in &state_perms {
             let mut key: Vec<usize> = perms.iter().map(|pid| pid.0).collect();
             key.sort_unstable();
-            let next = distinct.len();
-            let slot = *seen.entry(key).or_insert(next);
-            if slot == next {
-                distinct.push(perms);
-            }
+            let slot = *seen.entry(key).or_insert_with(|| {
+                built.push(Arc::new(StateDfa::from_subsets(
+                    &globs.subsets,
+                    perms.iter().flat_map(|pid| {
+                        perm_rules[pid.0]
+                            .iter()
+                            .zip(perm_globs[pid.0].iter().copied())
+                    }),
+                )));
+                built.len() - 1
+            });
             slot_of.push(slot);
         }
-        let built: Vec<Arc<StateDfa>> = sack_apparmor::pipeline::map_parallel(
-            &distinct,
-            sack_apparmor::pipeline::default_workers(),
-            |perms| {
-                Arc::new(StateDfa::build_with_alphabet(
-                    perms.iter().flat_map(|pid| perm_rules[pid.0].iter()),
-                    perm_rules
-                        .iter()
-                        .flat_map(|rules| rules.iter().map(|r| &r.object)),
-                    &shared_alphabet,
-                ))
-            },
-        );
         let state_dfas: Vec<Arc<StateDfa>> =
             slot_of.iter().map(|&s| Arc::clone(&built[s])).collect();
 

@@ -7,6 +7,7 @@
 //! that allows it — deny-by-default, following the principle of least
 //! privilege and optimistic access control (break-the-glass in emergencies).
 
+use std::collections::HashSet;
 use std::fmt;
 
 use sack_apparmor::glob::Glob;
@@ -236,12 +237,12 @@ fn literal_first_component(prefix: &str) -> Option<&str> {
 impl ProtectedSet {
     /// Builds the set from every object glob in the policy.
     pub fn build<'a>(globs: impl IntoIterator<Item = &'a Glob>) -> ProtectedSet {
-        let mut unique: Vec<Glob> = Vec::new();
-        for glob in globs {
-            if !unique.iter().any(|g| g.source() == glob.source()) {
-                unique.push(glob.clone());
-            }
-        }
+        let mut seen: HashSet<&str> = HashSet::new();
+        let unique: Vec<Glob> = globs
+            .into_iter()
+            .filter(|glob| seen.insert(glob.source()))
+            .cloned()
+            .collect();
         let mut set = ProtectedSet {
             len: unique.len(),
             ..ProtectedSet::default()

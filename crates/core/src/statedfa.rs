@@ -1,12 +1,14 @@
 //! Per-state unified DFA decision tables.
 //!
-//! `SackPolicy::compile` builds one [`StateDfa`] per situation state: every
-//! object glob of the state's granted permissions is merged into a single
-//! minimized DFA (the [`sack_apparmor::dfa`] builder), with accepting
-//! states annotated at build time by the union [`RuleDecision`] of the
-//! matching subject-wildcard rules *and* a protected-set marker covering
-//! every object glob in the whole policy. One O(|path|) table walk per
-//! hook therefore answers both questions the hook asks —
+//! `SackPolicy::compile` interns the policy's distinct object globs and
+//! determinizes them once (the [`sack_apparmor::dfa`] builder) into
+//! [`Subsets`]: one unminimized table whose every state carries the set of
+//! glob ids accepting there. Each situation state's [`StateDfa`] folds that
+//! shared result — a state is *protected* when its glob-id set is non-empty
+//! (the protected set spans every object glob of the policy), and its
+//! decision is the union of what this state's subject-wildcard rules grant
+//! or deny on those globs — and then minimizes. One O(|path|) table walk
+//! per hook therefore answers both questions the hook asks —
 //! "is this path SACK-protected at all?" and "what do this state's rules
 //! say?" — independent of rule count.
 //!
@@ -20,17 +22,49 @@
 //! transition swaps them atomically together with the rule sets
 //! (see `DESIGN.md` §7).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use sack_apparmor::dfa::{Alphabet, Dfa, DfaBuilder, DfaStats};
+use sack_apparmor::dfa::{Alphabet, Dfa, DfaBuilder, DfaStats, Subsets};
 use sack_apparmor::matcher::RuleDecision;
 use sack_apparmor::Glob;
 
 use crate::rules::{MacRule, RuleEffect, SubjectCtx, SubjectMatch};
 use sack_apparmor::FilePerms;
 
-/// Tag for protected-set marker globs (never a rule index).
-const MARKER: u32 = u32::MAX;
+/// Distinct object globs interned by source text; glob id `i` is the tag
+/// of the `i`-th distinct glob in the one NFA a policy compile
+/// determinizes.
+#[derive(Debug, Default)]
+pub(crate) struct ObjectGlobs {
+    builder: DfaBuilder,
+    ids: HashMap<String, u32>,
+}
+
+impl ObjectGlobs {
+    /// The id of `glob`, adding it on first sight of its source text.
+    pub(crate) fn intern(&mut self, glob: &Glob) -> u32 {
+        if let Some(&id) = self.ids.get(glob.source()) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.builder.add_glob(glob, id);
+        self.ids.insert(glob.source().to_string(), id);
+        id
+    }
+
+    /// Number of distinct globs interned.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The subset construction over every interned glob, against the byte
+    /// classes those globs induce (one alphabet for all of a policy's
+    /// tables).
+    pub(crate) fn determinize(&self) -> Subsets {
+        self.builder.determinize(&Arc::new(self.builder.alphabet()))
+    }
+}
 
 /// Per-DFA-state annotation: protection membership plus the build-time
 /// resolved decision of the subject-wildcard rules.
@@ -61,41 +95,48 @@ pub struct StateDfa {
 }
 
 impl StateDfa {
-    /// Compiles the table from this state's active rules plus every object
-    /// glob in the policy (the protected-set markers), deriving a private
-    /// byte-class alphabet.
+    /// Compiles a stand-alone table from one state's active rules plus
+    /// every object glob of the policy (`all_globs`, the protected set):
+    /// interns them and takes the same [`StateDfa::from_subsets`] path a
+    /// policy compile does.
     pub fn build<'a>(
         rules: impl IntoIterator<Item = &'a MacRule>,
         all_globs: impl IntoIterator<Item = &'a Glob>,
     ) -> StateDfa {
-        Self::build_inner(rules, all_globs, None)
+        let mut objects = ObjectGlobs::default();
+        let rules: Vec<(&MacRule, u32)> = rules
+            .into_iter()
+            .map(|rule| (rule, objects.intern(&rule.object)))
+            .collect();
+        for glob in all_globs {
+            objects.intern(glob);
+        }
+        Self::from_subsets(&objects.determinize(), rules)
     }
 
-    /// [`StateDfa::build`] against a shared byte-class alphabet. Since
-    /// every state's marker set spans the whole policy's object globs, one
-    /// alphabet built from those globs fits all states exactly;
-    /// `SackPolicy::compile` builds it once and shares the table.
-    pub fn build_with_alphabet<'a>(
-        rules: impl IntoIterator<Item = &'a MacRule>,
-        all_globs: impl IntoIterator<Item = &'a Glob>,
-        alphabet: &Arc<Alphabet>,
+    /// Folds this state's table out of the policy's shared subset
+    /// construction. `rules` pairs each of the state's active rules with
+    /// its object's glob id in `subsets`.
+    pub(crate) fn from_subsets<'a>(
+        subsets: &Subsets,
+        rules: impl IntoIterator<Item = (&'a MacRule, u32)>,
     ) -> StateDfa {
-        Self::build_inner(rules, all_globs, Some(alphabet))
-    }
-
-    fn build_inner<'a>(
-        rules: impl IntoIterator<Item = &'a MacRule>,
-        all_globs: impl IntoIterator<Item = &'a Glob>,
-        alphabet: Option<&Arc<Alphabet>>,
-    ) -> StateDfa {
-        let mut builder = DfaBuilder::new();
-        let mut folded: Vec<&MacRule> = Vec::new();
+        // contribution[g]: the union decision of this state's
+        // subject-wildcard rules on glob `g`.
+        let mut contribution: Vec<RuleDecision> = Vec::new();
         let mut scan_allow = Vec::new();
         let mut scan_deny = Vec::new();
-        for rule in rules {
+        for (rule, glob) in rules {
             if matches!(rule.subject, SubjectMatch::Any) {
-                builder.add_glob(&rule.object, folded.len() as u32);
-                folded.push(rule);
+                let glob = glob as usize;
+                if contribution.len() <= glob {
+                    contribution.resize(glob + 1, RuleDecision::default());
+                }
+                let decision = &mut contribution[glob];
+                match rule.effect {
+                    RuleEffect::Allow => decision.allowed = decision.allowed.union(rule.perms),
+                    RuleEffect::Deny => decision.denied = decision.denied.union(rule.perms),
+                }
             } else {
                 match rule.effect {
                     RuleEffect::Allow => scan_allow.push(rule.clone()),
@@ -103,35 +144,14 @@ impl StateDfa {
                 }
             }
         }
-        for glob in all_globs {
-            builder.add_glob(glob, MARKER);
-        }
-        let shared;
-        let alphabet = match alphabet {
-            Some(alphabet) => alphabet,
-            None => {
-                shared = Arc::new(builder.alphabet());
-                &shared
-            }
-        };
-        let dfa = builder.build_with_alphabet(alphabet, |tags| {
+        let dfa = subsets.annotate(|globs| {
             let mut annot = StateAnnot {
-                protected: !tags.is_empty(),
+                protected: !globs.is_empty(),
                 decision: RuleDecision::default(),
             };
-            for &tag in tags {
-                if tag == MARKER {
-                    continue;
-                }
-                let rule = folded[tag as usize];
-                match rule.effect {
-                    RuleEffect::Allow => {
-                        annot.decision.allowed = annot.decision.allowed.union(rule.perms);
-                    }
-                    RuleEffect::Deny => {
-                        annot.decision.denied = annot.decision.denied.union(rule.perms);
-                    }
-                }
+            for decision in globs.iter().filter_map(|&g| contribution.get(g as usize)) {
+                annot.decision.allowed = annot.decision.allowed.union(decision.allowed);
+                annot.decision.denied = annot.decision.denied.union(decision.denied);
             }
             annot
         });
@@ -152,19 +172,9 @@ impl StateDfa {
         requested: FilePerms,
     ) -> StateDecision {
         let annot = self.dfa.eval(path);
-        let mut protected = annot.protected;
-        let has_residue = !(self.scan_allow.is_empty() && self.scan_deny.is_empty());
-        if !protected && has_residue {
-            // Subject-scoped rule globs are part of the protected set too,
-            // but their decision cannot live in the path-only table. (The
-            // markers already cover them; this branch is unreachable when
-            // the globs were passed as `all_globs`, kept for robustness.)
-            protected = self
-                .scan_allow
-                .iter()
-                .chain(&self.scan_deny)
-                .any(|rule| rule.object.matches(path));
-        }
+        // Subject-scoped rules' globs are interned with the rest, so the
+        // walk's protected bit covers them too.
+        let protected = annot.protected;
         if annot.decision.denied.intersects(requested) {
             return StateDecision {
                 protected,

@@ -12,7 +12,10 @@
 #   * the DFA walk is not at least MIN_DFA_SPEEDUP x faster than the scan
 #     on the 1k-rule policy (unified per-state DFA);
 #   * the DFA cold path degrades by more than MAX_DFA_DEGRADATION x
-#     between the 100-rule and 10k-rule policies (O(|path|) flatness).
+#     between the 100-rule and 10k-rule policies (O(|path|) flatness);
+#   * one SackPolicy::compile of the 10k-rule policy costs more than
+#     MAX_POLICY_COMPILE_GROWTH x the 1k-rule compile (one shared subset
+#     construction per compile keeps the growth near linear).
 #
 # Also runs the AppArmor profile-table bench and fails if:
 #   * the compiled profile DFA is not at least MIN_AA_DFA_SPEEDUP x
@@ -76,6 +79,11 @@ PRE_REMOVAL_WARM_CACHE_MEDIAN_NS=246.7
 MAX_HOOK_P50_NS="${MAX_HOOK_P50_NS:-$PRE_REMOVAL_WARM_CACHE_MEDIAN_NS}"
 MIN_DFA_SPEEDUP="${MIN_DFA_SPEEDUP:-3.0}"
 MAX_DFA_DEGRADATION="${MAX_DFA_DEGRADATION:-1.5}"
+# 10k/1k policy-compile ratio: ~1.3x the median of eight quick runs after
+# the shared subset construction (10.4-15.3x, median ~12.8x, on a 2-core
+# x86_64 container; the per-state-determinization compile measured
+# 16.3-23.5x on the same box).
+MAX_POLICY_COMPILE_GROWTH=17.0
 MIN_AA_DFA_SPEEDUP="${MIN_AA_DFA_SPEEDUP:-3.0}"
 MIN_INCR_RECOMPILE_SPEEDUP="${MIN_INCR_RECOMPILE_SPEEDUP:-10.0}"
 MIN_PARALLEL_COMPILE_SPEEDUP="${MIN_PARALLEL_COMPILE_SPEEDUP:-2.0}"
@@ -130,6 +138,7 @@ if [[ -f "$OUT_JSON" ]]; then
     check_recorded_gate max_hook_p50_ns "$MAX_HOOK_P50_NS"
     check_recorded_gate min_dfa_speedup_1k "$MIN_DFA_SPEEDUP"
     check_recorded_gate max_dfa_degradation "$MAX_DFA_DEGRADATION"
+    check_recorded_gate max_policy_compile_growth "$MAX_POLICY_COMPILE_GROWTH"
     check_recorded_gate min_aa_dfa_speedup "$MIN_AA_DFA_SPEEDUP"
     check_recorded_gate min_incr_recompile_speedup "$MIN_INCR_RECOMPILE_SPEEDUP"
     check_recorded_gate min_parallel_compile_speedup "$MIN_PARALLEL_COMPILE_SPEEDUP"
@@ -160,6 +169,9 @@ DFA_1K="$(median_of 'sweep1000rules/dfa')"
 SCAN_1K="$(median_of 'sweep1000rules/scan')"
 DFA_10K="$(median_of 'sweep10000rules/dfa')"
 SCAN_10K="$(median_of 'sweep10000rules/scan')"
+COMPILE_100="$(median_of 'policy_compile/compile100rules')"
+COMPILE_1K="$(median_of 'policy_compile/compile1000rules')"
+COMPILE_10K="$(median_of 'policy_compile/compile10000rules')"
 
 # The shim truncates BENCH_JSON_OUT per run, so the profile-table bench
 # gets its own capture file.
@@ -234,6 +246,7 @@ FLEET_WARM_IMPACT="$(sed -n 's/^fleet_warm_impact value=\([0-9.]*\)$/\1/p' "$TMP
 
 for v in DFA_SINGLE SCAN_SINGLE DFA_WSET SCAN_WSET \
          DFA_100 SCAN_100 DFA_1K SCAN_1K DFA_10K SCAN_10K \
+         COMPILE_100 COMPILE_1K COMPILE_10K \
          AA_DFA AA_SCAN RECOMPILE_INCR RECOMPILE_FULL \
          PC_SERIAL_100 PC_PARALLEL_100 PC_SERIAL_1K PC_PARALLEL_1K \
          PC_SERIAL_10K PC_PARALLEL_10K PC_LAZY_LOAD_1K PC_COLD_ATTACH_1K \
@@ -250,6 +263,7 @@ SPEEDUP_SINGLE="$(awk -v a="$SCAN_SINGLE" -v b="$DFA_SINGLE" 'BEGIN { printf "%.
 SPEEDUP_WSET="$(awk -v a="$SCAN_WSET" -v b="$DFA_WSET" 'BEGIN { printf "%.2f", a / b }')"
 DFA_SPEEDUP_1K="$(awk -v a="$SCAN_1K" -v b="$DFA_1K" 'BEGIN { printf "%.2f", a / b }')"
 DFA_DEGRADATION="$(awk -v a="$DFA_10K" -v b="$DFA_100" 'BEGIN { printf "%.2f", a / b }')"
+COMPILE_GROWTH="$(awk -v a="$COMPILE_10K" -v b="$COMPILE_1K" 'BEGIN { printf "%.2f", a / b }')"
 AA_DFA_SPEEDUP="$(awk -v a="$AA_SCAN" -v b="$AA_DFA" 'BEGIN { printf "%.2f", a / b }')"
 INCR_SPEEDUP="$(awk -v a="$RECOMPILE_FULL" -v b="$RECOMPILE_INCR" 'BEGIN { printf "%.2f", a / b }')"
 PC_SPEEDUP_1K="$(awk -v a="$PC_SERIAL_1K" -v b="$PC_PARALLEL_1K" 'BEGIN { printf "%.2f", a / b }')"
@@ -288,6 +302,14 @@ cat > "$OUT_JSON" <<EOF
     "rules_10000": { "dfa_median_ns": $DFA_10K, "scan_median_ns": $SCAN_10K },
     "dfa_speedup_1k": $DFA_SPEEDUP_1K,
     "dfa_degradation_100_to_10k": $DFA_DEGRADATION
+  },
+  "policy_compile": {
+    "states": 4,
+    "rules_100_median_ns": $COMPILE_100,
+    "rules_1000_median_ns": $COMPILE_1K,
+    "rules_10000_median_ns": $COMPILE_10K,
+    "growth_1k_to_10k": $COMPILE_GROWTH,
+    "cores": $PC_CORES
   },
   "apparmor_profile_table": {
     "profile_rules": 1000,
@@ -329,6 +351,7 @@ cat > "$OUT_JSON" <<EOF
     "max_hook_p50_ns": $MAX_HOOK_P50_NS,
     "min_dfa_speedup_1k": $MIN_DFA_SPEEDUP,
     "max_dfa_degradation": $MAX_DFA_DEGRADATION,
+    "max_policy_compile_growth": $MAX_POLICY_COMPILE_GROWTH,
     "min_aa_dfa_speedup": $MIN_AA_DFA_SPEEDUP,
     "min_incr_recompile_speedup": $MIN_INCR_RECOMPILE_SPEEDUP,
     "min_parallel_compile_speedup": $MIN_PARALLEL_COMPILE_SPEEDUP,
@@ -347,6 +370,7 @@ echo "   hook p50 (wset 64):   $DFA_WSET ns (max $MAX_HOOK_P50_NS ns; scan $SCAN
 echo "   single-path DFA:      $DFA_SINGLE ns (scan $SCAN_SINGLE ns, ${SPEEDUP_SINGLE}x)" >&2
 echo "   DFA vs scan @1k:      ${DFA_SPEEDUP_1K}x (dfa $DFA_1K ns vs scan $SCAN_1K ns)" >&2
 echo "   DFA 100 -> 10k:       ${DFA_DEGRADATION}x (dfa $DFA_100 ns -> $DFA_10K ns)" >&2
+echo "   policy compile 1k->10k: ${COMPILE_GROWTH}x (100 $COMPILE_100 ns, 1k $COMPILE_1K ns, 10k $COMPILE_10K ns)" >&2
 echo "   profile DFA @1k:      ${AA_DFA_SPEEDUP}x (dfa $AA_DFA ns vs scan $AA_SCAN ns)" >&2
 echo "   incr recompile @100:  ${INCR_SPEEDUP}x (incr $RECOMPILE_INCR ns vs full $RECOMPILE_FULL ns)" >&2
 echo "   bulk compile @1k:     ${PC_SPEEDUP_1K}x parallel over serial (serial $PC_SERIAL_1K ns, parallel $PC_PARALLEL_1K ns, $PC_CORES cores)" >&2
@@ -373,6 +397,10 @@ if awk -v s="$DFA_SPEEDUP_1K" -v m="$MIN_DFA_SPEEDUP" 'BEGIN { exit !(s < m) }';
 fi
 if awk -v d="$DFA_DEGRADATION" -v m="$MAX_DFA_DEGRADATION" 'BEGIN { exit !(d > m) }'; then
     echo "bench_gate: FAIL — DFA cold path degrades ${DFA_DEGRADATION}x from 100 to 10k rules (max ${MAX_DFA_DEGRADATION}x)" >&2
+    fail=1
+fi
+if awk -v g="$COMPILE_GROWTH" -v m="$MAX_POLICY_COMPILE_GROWTH" 'BEGIN { exit !(g > m) }'; then
+    echo "bench_gate: FAIL — policy compile grows ${COMPILE_GROWTH}x from 1k to 10k rules (max ${MAX_POLICY_COMPILE_GROWTH}x)" >&2
     fail=1
 fi
 if awk -v s="$AA_DFA_SPEEDUP" -v m="$MIN_AA_DFA_SPEEDUP" 'BEGIN { exit !(s < m) }'; then

@@ -22,6 +22,9 @@ catches a malformed splice before it is committed. Checks:
   * the profile_compile block has every bulk/lazy median plus the
     normalised parallel floor, and the recorded speedup and cold-attach
     fraction satisfy the thresholds recorded for them;
+  * the policy_compile block has the 100/1k/10k SACK policy-compile
+    medians and the host's cores, and the recorded 1k->10k growth
+    satisfies the gate's max_policy_compile_growth;
   * every numeric leaf in the whole document is finite (a NaN/Infinity
     ratio means a benchmark div-by-zero went unnoticed).
 
@@ -39,6 +42,7 @@ TOP_LEVEL_KEYS = [
     "single_path",
     "working_set_64",
     "rule_sweep",
+    "policy_compile",
     "apparmor_profile_table",
     "profile_compile",
     "tracing",
@@ -53,6 +57,7 @@ GATE_KEYS = [
     "max_hook_p50_ns",
     "min_dfa_speedup_1k",
     "max_dfa_degradation",
+    "max_policy_compile_growth",
     "min_aa_dfa_speedup",
     "min_incr_recompile_speedup",
     "min_parallel_compile_speedup",
@@ -77,6 +82,15 @@ SMP_POINT_KEYS = ["p50_ns", "p90_ns", "p99_ns", "ops_per_sec"]
 SDS_POINT_KEYS = ["batch", "sync_eps", "batched_eps", "speedup"]
 
 FLEET_POINT_KEYS = ["fold_ns", "fold_per_instance_ns"]
+
+POLICY_COMPILE_KEYS = [
+    "states",
+    "rules_100_median_ns",
+    "rules_1000_median_ns",
+    "rules_10000_median_ns",
+    "growth_1k_to_10k",
+    "cores",
+]
 
 PROFILE_COMPILE_KEYS = [
     "rules_per_profile",
@@ -166,6 +180,20 @@ def validate(doc):
                 for key in SMP_POINT_KEYS:
                     if key not in point:
                         problems.append(f"smp.scenarios.{name}.t{t} missing {key!r}")
+
+    policy_compile = doc.get("policy_compile", {})
+    if policy_compile:
+        for key in POLICY_COMPILE_KEYS:
+            if key not in policy_compile:
+                problems.append(f"policy_compile block missing {key!r}")
+        growth = policy_compile.get("growth_1k_to_10k")
+        max_growth = gate.get("max_policy_compile_growth")
+        if isinstance(growth, (int, float)) and isinstance(max_growth, (int, float)):
+            if growth > max_growth:
+                problems.append(
+                    f"policy_compile.growth_1k_to_10k {growth} violates "
+                    f"gate.max_policy_compile_growth {max_growth}"
+                )
 
     pc = doc.get("profile_compile", {})
     if pc:

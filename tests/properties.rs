@@ -7,6 +7,8 @@
 //! of `proptest`: the build environment is offline, and a fixed seed
 //! sequence keeps failures reproducible by case index.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sack_suite::prop::{self, Rng};
@@ -14,6 +16,10 @@ use sack_suite::prop::{self, Rng};
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::{FilePerms, PathRule, Profile};
 use sack_apparmor::{AppArmor, CompiledRules, DfaBuilder, PolicyDb};
+use sack_core::policy::{
+    check_policy, render_rule, IssueKind, IssueSeverity, PolicyIssue, RuleProvenance, RuleSpec,
+    SubjectSpec,
+};
 use sack_core::rules::{MacRule, ProtectedSet, StateRuleSet, SubjectCtx};
 use sack_core::situation::StateSpace;
 use sack_core::ssm::{Ssm, TransitionRule};
@@ -351,11 +357,12 @@ fn state_dfa_walk_agrees_with_protected_set_and_rule_scan() {
 }
 
 /// The policy linter's coverage/overlap analysis reads language facts off
-/// the merged DFA's tag sets (`dfa.annotations()`): glob `a` covers glob
-/// `b` iff every annotation containing `b`'s tag also contains `a`'s, and
-/// the two overlap iff some annotation contains both. Those set questions
-/// must agree with the pairwise NFA product procedures (`Glob::covers`,
-/// `Glob::overlaps`) they replaced in the O(rules) lint loop.
+/// the subset construction's accepting tag sets (`Subsets::tag_sets`):
+/// glob `a` covers glob `b` iff every set containing `b`'s tag also
+/// contains `a`'s, and the two overlap iff some set contains both. Those
+/// set questions must agree with the pairwise NFA product procedures
+/// (`Glob::covers`, `Glob::overlaps`) they replaced in the O(rules) lint
+/// loop.
 #[test]
 fn dfa_tag_sets_agree_with_nfa_cover_and_overlap() {
     prop::check(|rng| {
@@ -367,9 +374,9 @@ fn dfa_tag_sets_agree_with_nfa_cover_and_overlap() {
         let mut builder = DfaBuilder::new();
         builder.add_glob(&glob_a, 0);
         builder.add_glob(&glob_b, 1);
-        let dfa = builder.build(|tags| tags.to_vec());
+        let subsets = builder.determinize(&Arc::new(builder.alphabet()));
         let (mut a_covers_b, mut b_covers_a, mut overlap) = (true, true, false);
-        for tags in dfa.annotations() {
+        for tags in subsets.tag_sets() {
             let (has_a, has_b) = (tags.contains(&0), tags.contains(&1));
             a_covers_b &= !has_b || has_a;
             b_covers_a &= !has_a || has_b;
@@ -391,6 +398,366 @@ fn dfa_tag_sets_agree_with_nfa_cover_and_overlap() {
             "overlaps(`{pat_a}`, `{pat_b}`)"
         );
     });
+}
+
+/// A random well-formed multi-state policy for the lint and table
+/// differentials: 2–4 permissions of up to 10 rules each, mixed effects
+/// and subjects, object strings drawn from a small per-case pool so the
+/// same glob recurs across permissions and subjects, and a `state_per`
+/// that mixes a `*` entry with per-state grants and may leave a
+/// permission granted nowhere. `pattern` draws the pool's objects; some
+/// pools add a glob that matches nothing.
+#[allow(clippy::explicit_auto_deref)] // same inference false positive
+fn random_policy(rng: &mut Rng, pattern: fn(&mut Rng) -> String) -> SackPolicy {
+    let pool: Vec<String> = (0..rng.range(2, 7))
+        .map(|_| pattern(rng))
+        .filter(|p| Glob::compile(p).is_ok())
+        .collect();
+    let mut pool = if pool.is_empty() {
+        vec!["/a/**".to_string()]
+    } else {
+        pool
+    };
+    if rng.below(4) == 0 {
+        // `[/]` admits no byte: a glob matching no path at all.
+        pool.push("/a[/]".to_string());
+    }
+    let states = ["a", "b", "c"];
+    let permissions: Vec<String> = (0..rng.range(2, 5)).map(|i| format!("P{i}")).collect();
+    let mut state_per: Vec<(String, Vec<String>)> = Vec::new();
+    let everywhere: Vec<String> = permissions
+        .iter()
+        .filter(|_| rng.below(4) == 0)
+        .cloned()
+        .collect();
+    if !everywhere.is_empty() {
+        state_per.push(("*".to_string(), everywhere));
+    }
+    for state in states {
+        let granted: Vec<String> = permissions.iter().filter(|_| rng.bool()).cloned().collect();
+        if !granted.is_empty() {
+            state_per.push((state.to_string(), granted));
+        }
+    }
+    let mut line = 0;
+    let per_rules = permissions
+        .iter()
+        .map(|perm| {
+            let rules = (0..rng.range(1, 11))
+                .map(|_| {
+                    line += 1;
+                    RuleSpec {
+                        effect: if rng.below(3) == 0 {
+                            RuleEffect::Deny
+                        } else {
+                            RuleEffect::Allow
+                        },
+                        subject: match *rng.pick_weighted(&[
+                            (4, 0u8),
+                            (1, 1),
+                            (1, 2),
+                            (1, 3),
+                            (1, 4),
+                        ]) {
+                            0 => SubjectSpec::Any,
+                            1 => SubjectSpec::Exe(
+                                (*rng.pick(&["/usr/bin/*", "/usr/bin/app"])).to_string(),
+                            ),
+                            2 => SubjectSpec::Uid(*rng.pick(&[0, 1000])),
+                            3 => SubjectSpec::Profile("navi".to_string()),
+                            _ => SubjectSpec::Exe("/usr/bin/a*".to_string()),
+                        },
+                        object: rng.pick(&pool).clone(),
+                        perms: (*rng.pick(&["r", "w", "rw", "rwi", "i", "m", "ax"])).to_string(),
+                        line,
+                    }
+                })
+                .collect();
+            (perm.clone(), rules)
+        })
+        .collect();
+    SackPolicy {
+        states: states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.to_string(), i as u32))
+            .collect(),
+        events: vec!["go".to_string()],
+        transitions: vec![
+            ("a".to_string(), "go".to_string(), "b".to_string()),
+            ("b".to_string(), "go".to_string(), "c".to_string()),
+            ("c".to_string(), "go".to_string(), "a".to_string()),
+        ],
+        initial: Some("a".to_string()),
+        permissions,
+        state_per,
+        per_rules,
+    }
+}
+
+/// Pairwise reference for `subject_covers` in the policy checker.
+fn naive_subject_covers(a: &SubjectSpec, b: &SubjectSpec) -> bool {
+    match (a, b) {
+        (SubjectSpec::Any, _) => true,
+        (SubjectSpec::Exe(ga), SubjectSpec::Exe(gb)) => Glob::compile(ga)
+            .unwrap()
+            .covers(&Glob::compile(gb).unwrap()),
+        (SubjectSpec::Uid(a), SubjectSpec::Uid(b)) => a == b,
+        (SubjectSpec::Profile(a), SubjectSpec::Profile(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// Pairwise reference for `subjects_overlap` in the policy checker.
+fn naive_subjects_overlap(a: &SubjectSpec, b: &SubjectSpec) -> bool {
+    match (a, b) {
+        (SubjectSpec::Any, _) | (_, SubjectSpec::Any) => true,
+        (SubjectSpec::Exe(ga), SubjectSpec::Exe(gb)) => Glob::compile(ga)
+            .unwrap()
+            .overlaps(&Glob::compile(gb).unwrap()),
+        (SubjectSpec::Uid(a), SubjectSpec::Uid(b)) => a == b,
+        (SubjectSpec::Profile(a), SubjectSpec::Profile(b)) => a == b,
+        _ => true,
+    }
+}
+
+fn rule_warning(kind: IssueKind, message: String, perm: &str, spec: &RuleSpec) -> PolicyIssue {
+    PolicyIssue {
+        severity: IssueSeverity::Warning,
+        kind,
+        message,
+        provenance: Some(RuleProvenance {
+            permission: perm.to_string(),
+            line: spec.line,
+            rule: render_rule(spec),
+        }),
+    }
+}
+
+/// The rule lints as the pairwise procedures they replaced: every
+/// (later, earlier) pair in a block through `Glob::covers`, every rule
+/// pair in the policy through `Glob::overlaps`.
+fn naive_rule_lints(policy: &SackPolicy) -> Vec<PolicyIssue> {
+    // `covers`/`overlaps` cost a product walk over all 256 bytes; the pool
+    // keeps distinct objects few, so memoize each glob pair's answer.
+    let memo = |procedure: fn(&Glob, &Glob) -> bool| {
+        let answers: RefCell<HashMap<(String, String), bool>> = RefCell::default();
+        move |a: &RuleSpec, b: &RuleSpec| {
+            *answers
+                .borrow_mut()
+                .entry((a.object.clone(), b.object.clone()))
+                .or_insert_with(|| {
+                    procedure(
+                        &Glob::compile(&a.object).unwrap(),
+                        &Glob::compile(&b.object).unwrap(),
+                    )
+                })
+        }
+    };
+    let covers = memo(Glob::covers);
+    let overlaps = memo(Glob::overlaps);
+    let perms = |spec: &RuleSpec| FilePerms::parse(&spec.perms).unwrap();
+    let mut issues = Vec::new();
+    for (perm, rules) in &policy.per_rules {
+        for (ri, later) in rules.iter().enumerate().skip(1) {
+            let shadower = rules[..ri].iter().find(|earlier| {
+                earlier.effect == later.effect
+                    && naive_subject_covers(&earlier.subject, &later.subject)
+                    && perms(earlier).contains(perms(later))
+                    && covers(earlier, later)
+            });
+            if let Some(earlier) = shadower {
+                issues.push(rule_warning(
+                    IssueKind::ShadowedRule,
+                    format!(
+                        "permission `{perm}`: rule `{}` (line {}) is shadowed by \
+                         broader rule `{}` (line {})",
+                        render_rule(later),
+                        later.line,
+                        render_rule(earlier),
+                        earlier.line
+                    ),
+                    perm,
+                    later,
+                ));
+            }
+        }
+    }
+    let granted = |perm: &str| -> Vec<&str> {
+        let mut states = Vec::new();
+        for (state, perms) in &policy.state_per {
+            if perms.iter().any(|p| p == perm) {
+                if state == "*" {
+                    states.extend(policy.states.iter().map(|(s, _)| s.as_str()));
+                } else {
+                    states.push(state.as_str());
+                }
+            }
+        }
+        states
+    };
+    let all: Vec<(&str, &RuleSpec)> = policy
+        .per_rules
+        .iter()
+        .flat_map(|(perm, rules)| rules.iter().map(move |r| (perm.as_str(), r)))
+        .collect();
+    for (i, &(perm_a, a)) in all.iter().enumerate() {
+        for &(perm_b, b) in &all[i + 1..] {
+            let coactive =
+                perm_a == perm_b || granted(perm_a).iter().any(|s| granted(perm_b).contains(s));
+            if a.effect == b.effect
+                || (a.subject == b.subject && a.object == b.object && a.perms == b.perms)
+                || !coactive
+                || !perms(a).intersects(perms(b))
+                || !naive_subjects_overlap(&a.subject, &b.subject)
+                || !overlaps(a, b)
+            {
+                continue;
+            }
+            let ((allow_perm, allow), (deny_perm, deny)) = match a.effect {
+                RuleEffect::Allow => ((perm_a, a), (perm_b, b)),
+                RuleEffect::Deny => ((perm_b, b), (perm_a, a)),
+            };
+            issues.push(rule_warning(
+                IssueKind::AllowDenyOverlap,
+                format!(
+                    "allow rule `{}` (permission `{allow_perm}`, line {}) overlaps deny rule \
+                     `{}` (permission `{deny_perm}`, line {}): the deny wins wherever both match",
+                    render_rule(allow),
+                    allow.line,
+                    render_rule(deny),
+                    deny.line
+                ),
+                allow_perm,
+                allow,
+            ));
+        }
+    }
+    issues
+}
+
+/// The shadowed-rule and allow/deny-overlap lints read glob facts off one
+/// subset construction and map them back to rules through glob ids. On
+/// random multi-permission policies their findings must equal the
+/// pairwise `Glob::covers`/`Glob::overlaps` reference exactly: same
+/// kinds, messages, provenance and order.
+#[test]
+fn rule_lints_agree_with_pairwise_reference() {
+    let mut findings = 0;
+    prop::check(|rng| {
+        // Simple patterns: the pairwise reference walks all 256 bytes per
+        // product state, which braces and classes make slow.
+        let policy = random_policy(rng, simple_pattern);
+        let issues = check_policy(&policy);
+        assert!(
+            issues.iter().all(|i| i.severity != IssueSeverity::Error),
+            "generator produced an invalid policy: {issues:?}"
+        );
+        let lints: Vec<PolicyIssue> = issues
+            .into_iter()
+            .filter(|i| {
+                matches!(
+                    i.kind,
+                    IssueKind::ShadowedRule | IssueKind::AllowDenyOverlap
+                )
+            })
+            .collect();
+        findings += lints.len();
+        assert_eq!(lints, naive_rule_lints(&policy), "policy:\n{policy}");
+    });
+    assert!(findings > 0, "the generator never produced a lint finding");
+}
+
+/// Every situation state's published table, compiled through
+/// `SackPolicy::compile` from the one shared subset construction, must
+/// decide exactly as `ProtectedSet::contains` plus that state's
+/// `StateRuleSet::permits`. The generated policies cover a glob shared by
+/// a wildcard and a subject-scoped rule, a glob used in several
+/// permissions, and a glob granted in no state (which only makes its
+/// paths protected).
+#[test]
+fn compiled_state_tables_agree_with_protected_set_and_rule_scan() {
+    let (mut shared_subject, mut shared_perm, mut ungranted) = (0, 0, 0);
+    prop::check(|rng| {
+        let policy = random_policy(rng, rich_pattern);
+        let compiled = policy.compile().expect("generated policy compiles");
+        let mut kinds_of: HashMap<&str, (bool, bool)> = HashMap::new();
+        let mut perms_of: HashMap<&str, Vec<&str>> = HashMap::new();
+        for (perm, rules) in &policy.per_rules {
+            for rule in rules {
+                let kinds = kinds_of.entry(rule.object.as_str()).or_default();
+                match rule.subject {
+                    SubjectSpec::Any => kinds.0 = true,
+                    _ => kinds.1 = true,
+                }
+                perms_of.entry(rule.object.as_str()).or_default().push(perm);
+            }
+        }
+        shared_subject += kinds_of
+            .values()
+            .filter(|&&(any, scoped)| any && scoped)
+            .count();
+        shared_perm += perms_of
+            .values()
+            .filter(|perms| perms.iter().any(|p| p != &perms[0]))
+            .count();
+        let granted: Vec<&str> = policy
+            .state_per
+            .iter()
+            .flat_map(|(_, perms)| perms.iter().map(String::as_str))
+            .collect();
+        ungranted += policy
+            .per_rules
+            .iter()
+            .filter(|(perm, _)| !granted.contains(&perm.as_str()))
+            .count();
+
+        let subjects = [
+            SubjectCtx {
+                uid: 0,
+                exe: None,
+                profile: None,
+            },
+            SubjectCtx {
+                uid: 1000,
+                exe: Some("/usr/bin/app"),
+                profile: Some("navi"),
+            },
+            SubjectCtx {
+                uid: 1000,
+                exe: Some("/sbin/init"),
+                profile: None,
+            },
+        ];
+        for _ in 0..8 {
+            let path = rich_path(rng);
+            let requested = perms_from_bits(rng.range(1, 64) as u8);
+            for index in 0..compiled.space().state_count() {
+                let state = sack_core::StateId(index);
+                for subject in &subjects {
+                    let decision = compiled.state_dfa(state).decide(subject, &path, requested);
+                    assert_eq!(
+                        decision.protected,
+                        compiled.protected().contains(&path),
+                        "protected-set membership diverged on `{path}` in\n{policy}"
+                    );
+                    assert_eq!(
+                        decision.permitted,
+                        compiled.state_rules(state).permits(subject, &path, requested),
+                        "state {index} uid={} exe={:?} path=`{path}` perms={requested} in\n{policy}",
+                        subject.uid,
+                        subject.exe
+                    );
+                }
+            }
+        }
+    });
+    assert!(
+        shared_subject > 0,
+        "no glob shared by wildcard and scoped rules"
+    );
+    assert!(shared_perm > 0, "no glob used in several permissions");
+    assert!(ungranted > 0, "no permission granted in no state");
 }
 
 #[test]
